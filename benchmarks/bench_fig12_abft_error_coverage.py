@@ -19,7 +19,6 @@ import pytest
 
 from repro.analysis.reporting import format_table, format_threshold_sweep
 from repro.exec import ExperimentSpec, run_experiment
-from repro.fault.campaign import abft_error_coverage
 
 from common import emit
 
@@ -101,5 +100,11 @@ def test_figure12_right_detection_vs_threshold():
 @pytest.mark.benchmark(group="fig12")
 def test_benchmark_coverage_trial(benchmark):
     """Time one tensor-checksum coverage campaign batch (5 trials)."""
-    result = benchmark(abft_error_coverage, 1e-7, 5, "tensor", 64, 64, 64, 8, 3)
+    spec = ExperimentSpec(
+        campaign="abft_error_coverage",
+        n_trials=5,
+        seed=3,
+        params={"bit_error_rate": 1e-7, "scheme": "tensor", "rows": 64, "cols": 64},
+    )
+    result = benchmark(lambda: run_experiment(spec).result)
     assert 0.0 <= result.coverage <= 1.0

@@ -13,7 +13,6 @@ import pytest
 
 from repro.analysis.reporting import format_table, format_threshold_sweep
 from repro.exec import ExperimentSpec, run_experiment
-from repro.fault.campaign import restriction_error_distribution
 
 from common import emit
 
@@ -90,5 +89,11 @@ def test_figure14_right_error_distribution():
 @pytest.mark.benchmark(group="fig14")
 def test_benchmark_restriction_trial(benchmark):
     """Time a small selective-restriction campaign batch (10 trials)."""
-    result = benchmark(restriction_error_distribution, "selective", 10, 128, 32, 16, 4.0, 5)
+    spec = ExperimentSpec(
+        campaign="restriction_error_distribution",
+        n_trials=10,
+        seed=5,
+        params={"method": "selective", "seq_len": 128, "head_dim": 32},
+    )
+    result = benchmark(lambda: run_experiment(spec).result)
     assert result.n_trials == 10

@@ -4,7 +4,7 @@ Sweeps single-event upsets over every protected stage of the fused attention
 kernel (GEMM I, exponentiation, GEMM II, rescale, normalisation, reduce-sum)
 as ONE declarative :class:`~repro.exec.spec.ExperimentSpec` -- the fault site
 is a grid axis, and the whole sweep runs on any pluggable executor backend
-(serial, shared process pool, async shard dispatch) -- a miniature version of
+(serial, shared process pool, distributed workers) -- a miniature version of
 the resilience study behind Figures 12 and 14.
 
 Run with:  python examples/fault_injection_campaign.py [--executor NAME]

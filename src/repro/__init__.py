@@ -29,9 +29,9 @@ from repro.core import (
 from repro.fault import FaultInjector, FaultSite, FaultSpec
 from repro.hardware import A100_PCIE_40GB, AttentionCostModel, AttentionWorkload
 
-#: Unified-experiment names resolved lazily (PEP 562) so that ``python -m
-#: repro.fault.runner`` / ``python -m repro.fault.sweep`` do not import those
-#: modules twice through the repro.exec dependency chain.
+#: Unified-experiment names resolved lazily (PEP 562): ``import repro`` stays
+#: cheap for kernel-only users, and the engine, executors and stores of
+#: ``repro.exec`` load on first use.
 _EXEC_EXPORTS = (
     "ExperimentResult",
     "ExperimentSpec",

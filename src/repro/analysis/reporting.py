@@ -86,25 +86,37 @@ def format_campaign_result(result, title: str | None = None) -> str:
     return format_table(headers, [list(stats.values())], title=title)
 
 
+def _trials_label(result) -> str:
+    """``"N trials"`` per point of a result (``"A-B trials"`` when they differ).
+
+    Read from the finished point specs, not the experiment's initial
+    ``n_trials``: an adaptive point stops early or tops up past it.
+    """
+    counts = sorted({point.spec.n_trials for point in result.points})
+    counts = counts or [result.spec.n_trials]
+    span = str(counts[0]) if len(counts) == 1 else f"{counts[0]}-{counts[-1]}"
+    return f"{span} trials"
+
+
 def format_sweep_result(result, title: str | None = None) -> str:
     """Render a cross-campaign sweep as one merged table.
 
-    ``result`` is a :class:`repro.fault.sweep.SweepResult` or
-    :class:`repro.exec.results.ExperimentResult`: one row per grid point, the
-    grid axes as the leading columns and the per-point summary statistics as
-    the trailing columns.  Every aggregate must implement the
-    :class:`~repro.exec.results.SummaryProtocol` and agree on its summary
-    keys -- a result lacking ``summary()`` (other than the threshold-sweep
-    lists, which have their own compact rendering) raises a clear
-    ``TypeError`` instead of silently rendering a blank or lopsided column.
+    ``result`` is a :class:`repro.exec.results.ExperimentResult`: one row per
+    grid point, the grid axes as the leading columns and the per-point
+    summary statistics as the trailing columns.  Every aggregate must
+    implement the :class:`~repro.exec.results.SummaryProtocol` and agree on
+    its summary keys -- a result lacking ``summary()`` (other than the
+    threshold-sweep lists, which have their own compact rendering) raises a
+    clear ``TypeError`` instead of silently rendering a blank or lopsided
+    column.
     """
-    axes = result.sweep.axes
+    axes = result.spec.axes
+    entries = list(result.points)
     if title is None:
         title = (
-            f"sweep: {result.sweep.label} "
-            f"({len(result.entries)} campaigns x {result.sweep.n_trials} trials)"
+            f"sweep: {result.spec.label} "
+            f"({len(entries)} campaigns x {_trials_label(result)})"
         )
-    entries = list(result.entries)
     if not entries:
         return format_table(axes, [], title=title)
 
@@ -154,7 +166,7 @@ def format_experiment_result(result, title: str | None = None) -> str:
     if result.spec.is_sweep:
         return format_sweep_result(result, title=title)
     if title is None:
-        title = f"campaign: {result.spec.label} ({result.spec.n_trials} trials)"
+        title = f"campaign: {result.spec.label} ({_trials_label(result)})"
     return format_point_result(result.result, title=title)
 
 

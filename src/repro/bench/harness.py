@@ -157,12 +157,9 @@ def smoke_cases() -> list[BenchCase]:
 def _time_once(case: BenchCase, executor: str) -> float:
     from repro.exec.engine import ExperimentRunner
     from repro.exec.spec import ExperimentSpec
-    from repro.fault.runner import CampaignSpec
 
-    spec = ExperimentSpec.from_campaign(
-        CampaignSpec(
-            campaign=case.campaign, n_trials=case.n_trials, seed=case.seed, params=case.params
-        )
+    spec = ExperimentSpec(
+        campaign=case.campaign, n_trials=case.n_trials, seed=case.seed, params=case.params
     )
     start = time.perf_counter()
     ExperimentRunner(spec, executor=executor).run()

@@ -4,15 +4,14 @@
 many grid points and tabulate" artifact in the paper (Figures 9/12/14/15,
 Tables 1-2):
 
-* :class:`ExperimentSpec` -- one declarative spec covering both single
-  campaigns and cross-campaign sweep grids (auto-detected on load); the
-  legacy ``CampaignSpec``/``SweepSpec`` remain as thin wrappers over it.
+* :class:`ExperimentSpec` -- the one declarative spec, covering both single
+  campaigns and cross-campaign sweep grids (auto-detected on load).
 * :class:`Executor` -- the pluggable execution-strategy interface with
-  ``serial``, ``process`` (one pool shared across all grid points), ``async``
-  (concurrent-futures shard dispatch) and ``distributed`` (socket/queue
-  dispatch to local or remote ``python -m repro worker`` processes, with
-  lease-based fault recovery) backends, all bit-identical for any
-  backend/worker count; new backends register with :func:`register_executor`.
+  ``serial``, ``process`` (one pool shared across all grid points) and
+  ``distributed`` (socket/queue dispatch to local or remote ``python -m repro
+  worker`` processes, with lease-based fault recovery) backends, all
+  bit-identical for any backend/worker count; new backends register with
+  :func:`register_executor`.
 * :class:`ProgressTracker` / :class:`ProgressEvent` -- executor-level
   progress: every backend's finished trials stream through the engine, which
   emits trials-done/ETA events to listeners such as the CI-log-safe
@@ -20,8 +19,8 @@ Tables 1-2):
 * :class:`TrialRecordSet` / :class:`ExperimentResult` -- the typed result
   surface: ``summary()`` protocol, canonical ``to_jsonl``/``from_jsonl``,
   shard ``merge``.
-* :func:`run_experiment` / :class:`ExperimentRunner` -- the engine tying
-  spec, checkpoints, executor and aggregation together.
+* :func:`run_experiment` / :class:`ExperimentRunner` -- the one runner, tying
+  spec, results store, executor and aggregation together.
 * ``python -m repro run|sweep|list-campaigns|report`` -- the umbrella CLI
   (:mod:`repro.exec.cli`).
 
@@ -39,14 +38,8 @@ from repro.exec.distributed import (
     register_scale_policy,
     run_worker,
 )
-from repro.exec.engine import (
-    ExperimentRunner,
-    progress_sidecar_path,
-    read_manifest,
-    run_experiment,
-)
+from repro.exec.engine import ExperimentRunner, run_experiment
 from repro.exec.executors import (
-    AsyncExecutor,
     Executor,
     ProcessExecutor,
     SerialExecutor,
@@ -77,7 +70,6 @@ import repro.exec.costing  # noqa: E402,F401  (registration side effect)
 
 __all__ = [
     "AdaptiveSpec",
-    "AsyncExecutor",
     "DistributedExecutor",
     "Executor",
     "ExperimentResult",
@@ -103,8 +95,6 @@ __all__ = [
     "campaign_results_path",
     "get_executor",
     "load_spec",
-    "progress_sidecar_path",
-    "read_manifest",
     "register_executor",
     "register_scale_policy",
     "run_experiment",

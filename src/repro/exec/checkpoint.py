@@ -8,9 +8,10 @@ already-finished trial indices on resume, and a completed file is rewritten
 in canonical trial-sorted order -- so the bytes on disk are identical for
 any executor backend, worker count or interruption history.
 
-The format predates this module (it is the
-:class:`~repro.fault.runner.CampaignRunner` checkpoint format, unchanged), so
-old results files resume seamlessly under the new engine and vice versa.
+The header is the grid point's gridless
+:class:`~repro.exec.spec.ExperimentSpec`, whose ``to_dict()`` has kept the
+same shape since the first campaign runner, so results files written by any
+earlier release resume unchanged.
 """
 
 from __future__ import annotations
@@ -18,15 +19,18 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.fault.runner import CampaignSpec, _canonical_json, _resume_key
+from repro.fault.runner import _canonical_json, _resume_key
+
+if TYPE_CHECKING:
+    from repro.exec.spec import ExperimentSpec
 
 #: A per-trial record: a JSON-serialisable mapping produced by a trial kernel.
 TrialRecord = dict
 
 
-def campaign_results_path(results_dir: str | Path, index: int, spec: CampaignSpec) -> Path:
+def campaign_results_path(results_dir: str | Path, index: int, spec: ExperimentSpec) -> Path:
     """Checkpoint file of one expanded campaign inside a sweep directory."""
     slug = "".join(c if c.isalnum() or c in "=,._-" else "_" for c in spec.label)
     return Path(results_dir) / f"{index:03d}-{slug}.jsonl"
@@ -35,7 +39,7 @@ def campaign_results_path(results_dir: str | Path, index: int, spec: CampaignSpe
 class TrialCheckpoint:
     """Append/resume/canonicalise the JSONL results file of one campaign."""
 
-    def __init__(self, spec: CampaignSpec, path: str | Path | None) -> None:
+    def __init__(self, spec: ExperimentSpec, path: str | Path | None) -> None:
         self.spec = spec
         self.path = Path(path) if path is not None else None
         self._sink = None

@@ -2,7 +2,7 @@
 
 ::
 
-    python -m repro run spec.json [--executor serial|process|async|distributed]
+    python -m repro run spec.json [--executor serial|process|distributed]
                                   [--workers N] [--results PATH]
                                   [--store jsonl|sqlite] [--progress]
     python -m repro sweep spec.json [--expand-only] [...]
@@ -40,9 +40,6 @@ one queryable database, ``--to jsonl`` exports canonical checkpoint files).
 ``--max-trials``) to run the spec adaptively: grid points stop early once
 their metric's confidence interval is tight enough and top up in batches
 otherwise -- equivalent to an ``"adaptive": {...}`` block in the spec.
-
-The legacy ``python -m repro.fault.runner`` / ``python -m repro.fault.sweep``
-entry points forward here with deprecation notices.
 """
 
 from __future__ import annotations
@@ -54,16 +51,19 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.exec.checkpoint import campaign_results_path
-from repro.exec.engine import MANIFEST_NAME, read_manifest, run_experiment
+from repro.exec.engine import run_experiment
 from repro.exec.executors import available_executors
 from repro.exec.results import ExperimentResult, PointResult, TrialRecordSet
 from repro.exec.spec import ExperimentSpec
-from repro.store import DEFAULT_STORE, available_stores, open_store, sniff_store
-
-
-def deprecation_note(old: str, new: str) -> None:
-    """Print the forwarding notice the legacy CLIs emit (stderr, not stdout)."""
-    print(f"note: {old} is deprecated; use {new} instead", file=sys.stderr)
+from repro.store import (
+    DEFAULT_STORE,
+    MANIFEST_NAME,
+    available_stores,
+    open_store,
+    progress_sidecar_path,
+    read_manifest,
+    sniff_store,
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -551,8 +551,6 @@ def cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             # A run interrupted before any record landed writes no JSONL at
             # all, but the engine still persisted its progress sidecar --
             # show that completion state instead of refusing outright.
-            from repro.exec.engine import progress_sidecar_path
-
             sidecar = progress_sidecar_path(path)
             if sidecar.exists():
                 rendered = [_report_progress_sidecar(parser, sidecar)]
@@ -617,8 +615,6 @@ def _report_file(parser: argparse.ArgumentParser, path: Path) -> tuple[str, bool
         line = _completion_line(
             f"campaign: {records.spec.label}", len(records), records.spec.n_trials
         )
-        from repro.exec.engine import progress_sidecar_path
-
         sidecar = progress_sidecar_path(path)
         if sidecar.exists():
             try:

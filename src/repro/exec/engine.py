@@ -1,9 +1,9 @@
 """The experiment engine: one spec, one results store, any executor.
 
 :class:`ExperimentRunner` executes an :class:`~repro.exec.spec.ExperimentSpec`
-(or anything coercible to one -- a legacy campaign/sweep spec, a dict, JSON
-text) through a pluggable :class:`~repro.exec.executors.Executor` backend and
-returns a typed :class:`~repro.exec.results.ExperimentResult`.
+(or its dict / JSON-text form) through a pluggable
+:class:`~repro.exec.executors.Executor` backend and returns a typed
+:class:`~repro.exec.results.ExperimentResult`.
 
 The engine owns everything the backends must agree on:
 
@@ -36,18 +36,8 @@ from repro.exec.progress import ProgressEvent, ProgressTracker
 from repro.exec.results import ExperimentResult, PointResult, TrialRecordSet
 from repro.exec.spec import ExperimentSpec
 # Imported from the interface module (not the repro.store package root) to
-# keep the engine <-> store import order acyclic.  The manifest/sidecar
-# helpers grew up here but belong to the store layer; re-exported so existing
-# imports (`from repro.exec.engine import ...`) hold.
-from repro.store.base import (  # noqa: F401
-    MANIFEST_NAME,
-    PointStore,
-    ResultsStore,
-    build_store,
-    progress_sidecar_path,
-    read_manifest,
-)
-from repro.store.base import experiment_resume_key as _experiment_resume_key
+# keep the engine <-> store import order acyclic.
+from repro.store.base import PointStore, ResultsStore, build_store
 
 
 class ExperimentRunner:
@@ -58,7 +48,7 @@ class ExperimentRunner:
     spec:
         Anything :meth:`ExperimentSpec.from_any` accepts.
     executor:
-        Backend name (``"serial"``, ``"process"``, ``"async"``, or any
+        Backend name (``"serial"``, ``"process"``, ``"distributed"``, or any
         ``@register_executor`` plug-in) or a ready :class:`Executor`.
     n_workers:
         Parallelism budget handed to the backend.

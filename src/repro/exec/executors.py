@@ -1,4 +1,4 @@
-"""Pluggable execution backends: serial, shared process pool, async futures.
+"""Pluggable execution backends: serial and a shared process pool.
 
 An :class:`Executor` turns pending trial work -- ``(grid point, campaign
 spec, trial indices)`` slices -- into finished ``(point, trial, record)``
@@ -15,10 +15,6 @@ Built-in backends (select by name, e.g. ``--executor process``):
 * ``process`` -- one ``multiprocessing`` pool *shared across every grid
   point* of the experiment, so a sweep parallelises at the sweep level
   instead of campaign-by-campaign.
-* ``async`` -- ``concurrent.futures`` shard dispatch: every batch becomes an
-  independently-submitted future whose records merge through the JSONL
-  checkpoint layer as they land.  The shape distributed/remote shards slot
-  into.
 * ``distributed`` -- lease-based batch dispatch to local and/or remote worker
   processes over a ``multiprocessing.managers`` socket transport (see
   :mod:`repro.exec.distributed`); workers join and leave mid-run, and a
@@ -35,7 +31,6 @@ New backends plug in with::
 from __future__ import annotations
 
 import abc
-import concurrent.futures
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -216,38 +211,3 @@ class ProcessExecutor(Executor):
             ):
                 for index, record in results:
                     yield point_index, index, record
-
-
-@register_executor("async")
-class AsyncExecutor(Executor):
-    """``concurrent.futures`` shard dispatch.
-
-    Every batch is submitted as an independent future against a
-    ``ProcessPoolExecutor`` and harvested with ``as_completed`` -- the same
-    shard-and-merge shape a distributed dispatcher would use, with the JSONL
-    checkpoint layer merging records as shards land.
-    """
-
-    def execute(self, slices: Sequence[TrialSlice]) -> Iterator[TrialResult]:
-        batches = self._batches(slices)
-        if not batches:
-            return
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.n_workers, len(batches)),
-            mp_context=_mp_context(),
-        )
-        # Not a `with` block: the context manager exits via shutdown(wait=True)
-        # with nothing cancelled, so an *aborted* run (the engine closing this
-        # generator after a raising listener or a Ctrl-C) would block until
-        # every already-submitted batch finished.  Aborts and errors must
-        # instead drop the queued batches and return promptly.
-        try:
-            futures = [pool.submit(_run_point_batch, batch) for batch in batches]
-            for future in concurrent.futures.as_completed(futures):
-                point_index, results = future.result()
-                for index, record in results:
-                    yield point_index, index, record
-        except BaseException:  # includes GeneratorExit from an engine abort
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        pool.shutdown(wait=True)

@@ -3,7 +3,7 @@
 Every backend streams its finished trials through the engine, so progress is
 tracked in exactly one place -- a :class:`ProgressTracker` owned by the
 :class:`~repro.exec.engine.ExperimentRunner` -- and is therefore emitted
-uniformly by *all* executors (serial, process, async, distributed and any
+uniformly by *all* executors (serial, process, distributed and any
 ``@register_executor`` plug-in).  The tracker turns each finished trial into
 an immutable :class:`ProgressEvent` (trials done / total, per-grid-point
 state, throughput, ETA) and fans it out to registered listeners.

@@ -14,9 +14,7 @@ was missing.  This module makes the result surface explicit:
 * :class:`PointResult` / :class:`ExperimentResult` -- one grid point's
   aggregate, and the whole experiment's, in expansion order.  An
   :class:`ExperimentResult` serialises every shard of every point to one
-  JSONL stream and merges with partial results from other shards -- the
-  primitive behind the ``async`` executor's shard dispatch and any future
-  distributed runs.
+  JSONL stream and merges with partial results from other shards.
 """
 
 from __future__ import annotations
@@ -28,12 +26,7 @@ from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.exec.checkpoint import TrialRecord, parse_results_text
 from repro.exec.spec import ExperimentSpec
-from repro.fault.runner import (
-    CampaignSpec,
-    _canonical_json,
-    _resume_key,
-    get_campaign,
-)
+from repro.fault.runner import _canonical_json, _resume_key, get_campaign
 
 
 @runtime_checkable
@@ -54,7 +47,7 @@ class TrialRecordSet:
     the same campaign merge losslessly.  Aggregation requires completeness.
     """
 
-    spec: CampaignSpec
+    spec: ExperimentSpec
     records: dict[int, TrialRecord] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -151,13 +144,13 @@ class TrialRecordSet:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_jsonl(cls, text: str, spec: CampaignSpec | None = None) -> "TrialRecordSet":
+    def from_jsonl(cls, text: str, spec: ExperimentSpec | None = None) -> "TrialRecordSet":
         """Parse checkpoint JSONL text (header optional when ``spec`` given)."""
         spec_dict, records = parse_results_text(text)
         if spec is None:
             if spec_dict is None:
                 raise ValueError("results text has no spec header; pass spec=")
-            spec = CampaignSpec.from_dict(spec_dict)
+            spec = ExperimentSpec.from_dict(spec_dict)
         elif spec_dict is not None and _resume_key(spec_dict) != _resume_key(spec.to_dict()):
             raise ValueError(
                 f"results text belongs to campaign "
@@ -172,7 +165,7 @@ class TrialRecordSet:
         Path(path).write_text(self.to_jsonl())
 
     @classmethod
-    def load(cls, path: str | Path, spec: CampaignSpec | None = None) -> "TrialRecordSet":
+    def load(cls, path: str | Path, spec: ExperimentSpec | None = None) -> "TrialRecordSet":
         """Read a checkpoint JSONL file back into a record set."""
         return cls.from_jsonl(Path(path).read_text(), spec=spec)
 
@@ -211,7 +204,7 @@ class PointResult:
 
     index: int
     point: dict
-    spec: CampaignSpec
+    spec: ExperimentSpec
     records: TrialRecordSet
     result: Any
 
@@ -238,16 +231,6 @@ class ExperimentResult:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def entries(self) -> list[PointResult]:
-        """Alias kept for sweep-report compatibility (``entry.point/.result``)."""
-        return self.points
-
-    @property
-    def sweep(self):
-        """The experiment as a legacy :class:`SweepSpec` (report compatibility)."""
-        return self.spec.as_sweep()
 
     @property
     def result(self) -> Any:
@@ -373,18 +356,6 @@ class ExperimentResult:
     def complete(self) -> bool:
         """Whether every grid point has a full record set."""
         return all(entry.records.complete for entry in self.points)
-
-    def to_sweep_result(self):
-        """Bridge to the legacy :class:`~repro.fault.sweep.SweepResult`."""
-        from repro.fault.sweep import SweepEntry, SweepResult
-
-        return SweepResult(
-            sweep=self.spec.as_sweep(),
-            entries=[
-                SweepEntry(point=entry.point, spec=entry.spec, result=entry.result)
-                for entry in self.points
-            ],
-        )
 
 
 @dataclass(frozen=True)

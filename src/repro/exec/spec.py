@@ -15,11 +15,11 @@ shapes they are given, so one loader handles every spec file in the repo::
      "base_params": {"site": "gemm_qk"},
      "grid": {"scheme": ["none", "efta_unified"], "bit_error_rate": [1e-9, 1e-8]}}
 
-The legacy :class:`~repro.fault.runner.CampaignSpec` and
-:class:`~repro.fault.sweep.SweepSpec` survive as thin wrappers: both convert
-losslessly to and from an :class:`ExperimentSpec` (``from_campaign`` /
-``from_sweep`` / ``as_campaign`` / ``as_sweep``), and the sweep's grid
-expansion lives here.
+Expansion turns an experiment into one gridless spec per grid point, the
+unit every executor, checkpoint and results store works on.  A point spec
+carries the experiment's ``faultload`` inside its ``params`` and no
+``adaptive``/``store`` field, so its ``to_dict()`` is exactly the
+``{"spec": ...}`` header of that point's checkpoint file.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.exec.adaptive import AdaptiveSpec
-from repro.fault.runner import CampaignSpec, _canonical_json
+from repro.fault.runner import _canonical_json
 
 
 @dataclass(frozen=True)
@@ -156,32 +156,31 @@ class ExperimentSpec:
             for combo in itertools.product(*(list(self.grid[a]) for a in axes))
         ]
 
-    def expanded(self) -> list[tuple[dict, CampaignSpec]]:
-        """``(grid point, campaign spec)`` pairs, in expansion order.
+    def expanded(self) -> list[tuple[dict, "ExperimentSpec"]]:
+        """``(grid point, point spec)`` pairs, in expansion order.
 
-        A single campaign (empty grid) expands to one pair whose spec
-        round-trips exactly to the :class:`CampaignSpec` form of this
-        experiment (same ``name``), so checkpoint resume identities are
-        shared between the old and new entry points.
+        Each point spec is a gridless experiment with the grid point and the
+        experiment's ``faultload`` folded into its ``params`` (an explicit
+        ``params`` key wins over ``faultload``, a grid axis over both).  A
+        single campaign keeps its ``name``; sweep points are named
+        ``<label>/<axis>=<value>,...``.
         """
-        if not self.is_sweep:
-            return [({}, self.as_campaign())]
         extra = {"faultload": self.faultload} if self.faultload else {}
         pairs = []
         for point in self.points():
             tag = ",".join(f"{axis}={point[axis]}" for axis in self.axes)
-            spec = CampaignSpec(
+            spec = ExperimentSpec(
                 campaign=self.campaign,
                 n_trials=self.n_trials,
                 seed=self.seed,
-                params={**extra, **self.params, **point},
-                name=f"{self.label}/{tag}",
+                params=json.loads(json.dumps({**extra, **self.params, **point})),
+                name=f"{self.label}/{tag}" if self.is_sweep else self.name,
             )
             pairs.append((point, spec))
         return pairs
 
-    def expand(self) -> list[CampaignSpec]:
-        """One :class:`CampaignSpec` per grid point, in expansion order."""
+    def expand(self) -> list["ExperimentSpec"]:
+        """One point spec per grid point, in expansion order."""
         return [spec for _, spec in self.expanded()]
 
     # ------------------------------------------------------------------ #
@@ -190,9 +189,9 @@ class ExperimentSpec:
     def to_dict(self) -> dict:
         """Plain-dict form, in the campaign or sweep on-disk shape.
 
-        A single campaign serialises to the :class:`CampaignSpec` shape
-        (``params``), a sweep to the :class:`SweepSpec` shape (``base_params``
-        + ``grid``), so files written from either API load with either.
+        A single campaign serialises its shared parameters as ``params``, a
+        sweep as ``base_params`` next to its ``grid`` -- the two shapes spec
+        files and checkpoint headers have always had.
         """
         if not self.is_sweep:
             data = {
@@ -268,77 +267,16 @@ class ExperimentSpec:
         """Inverse of :meth:`to_json` (auto-detecting, like :meth:`from_dict`)."""
         return cls.from_dict(json.loads(text))
 
-    # ------------------------------------------------------------------ #
-    # Legacy-spec bridges
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_campaign(cls, spec: CampaignSpec) -> "ExperimentSpec":
-        """Lift a legacy :class:`CampaignSpec` into an experiment."""
-        return cls(
-            campaign=spec.campaign,
-            n_trials=spec.n_trials,
-            seed=spec.seed,
-            params=json.loads(json.dumps(spec.params)),
-            name=spec.name,
-        )
-
-    @classmethod
-    def from_sweep(cls, sweep: Any) -> "ExperimentSpec":
-        """Lift a legacy :class:`~repro.fault.sweep.SweepSpec` into an experiment."""
-        return cls(
-            campaign=sweep.campaign,
-            n_trials=sweep.n_trials,
-            seed=sweep.seed,
-            params=json.loads(json.dumps(sweep.base_params)),
-            grid=json.loads(json.dumps(sweep.grid)),
-            name=sweep.name,
-        )
-
     @classmethod
     def from_any(cls, spec: Any) -> "ExperimentSpec":
-        """Coerce any spec form (experiment, campaign, sweep, dict, JSON text)."""
+        """Coerce any spec form (experiment, dict, JSON text)."""
         if isinstance(spec, cls):
             return spec
-        if isinstance(spec, CampaignSpec):
-            return cls.from_campaign(spec)
         if isinstance(spec, dict):
             return cls.from_dict(spec)
         if isinstance(spec, str):
             return cls.from_json(spec)
-        if hasattr(spec, "grid") and hasattr(spec, "base_params"):
-            return cls.from_sweep(spec)
         raise TypeError(f"cannot build an ExperimentSpec from {type(spec).__name__}")
-
-    def as_campaign(self) -> CampaignSpec:
-        """This experiment as a legacy :class:`CampaignSpec` (no grid allowed)."""
-        if self.is_sweep:
-            raise ValueError(
-                f"experiment {self.label!r} has a {len(self.grid)}-axis grid; "
-                "expand() it into campaigns instead"
-            )
-        params = json.loads(json.dumps(self.params))
-        if self.faultload:
-            params.setdefault("faultload", self.faultload)
-        return CampaignSpec(
-            campaign=self.campaign,
-            n_trials=self.n_trials,
-            seed=self.seed,
-            params=params,
-            name=self.name,
-        )
-
-    def as_sweep(self):
-        """This experiment as a legacy :class:`~repro.fault.sweep.SweepSpec`."""
-        from repro.fault.sweep import SweepSpec
-
-        return SweepSpec(
-            campaign=self.campaign,
-            n_trials=self.n_trials,
-            seed=self.seed,
-            base_params=json.loads(json.dumps(self.params)),
-            grid=json.loads(json.dumps(self.grid)),
-            name=self.name,
-        )
 
 
 def load_spec(text: str) -> ExperimentSpec:

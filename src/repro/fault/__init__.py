@@ -7,13 +7,11 @@ faults by FT-MPI, so injection targets the *outputs of computation steps*
 (GEMM tiles, exponentials, reductions), not stored operands.
 
 Monte-Carlo campaigns (the evidence behind Figures 12 and 14 and Tables 1-2)
-run on a declarative runner: a :class:`~repro.fault.runner.CampaignSpec`
-names a registered per-trial kernel and its parameters, and
-:class:`~repro.fault.runner.CampaignRunner` shards the trials across
-``multiprocessing`` workers with per-trial derived seeds
-(``SeedSequence.spawn``), checkpoints each finished trial to JSONL and
-resumes interrupted runs -- producing bit-identical aggregates regardless of
-worker count.  New workloads plug in with::
+are per-trial kernels registered on :mod:`repro.fault.runner`; they run
+through :func:`repro.exec.run_experiment` (or ``python -m repro run
+spec.json``) on any executor backend, with per-trial derived seeds
+(``SeedSequence.spawn``), checkpoint/resume and bit-identical aggregates
+regardless of worker count.  New workloads plug in with::
 
     from repro.fault.runner import register_campaign
 
@@ -22,24 +20,16 @@ worker count.  New workloads plug in with::
         ...  # one Monte-Carlo trial
         return {"injected": 1, "detected": 1, "corrected": 1, "output_rel_error": 0.0}
 
-and run either programmatically (:func:`~repro.fault.runner.run_campaign`)
-or from a JSON spec file via ``python -m repro.fault.runner spec.json
---workers 4 --results out.jsonl``.
-
 * :mod:`repro.fault.models` -- fault sites, fault specifications, SEU / BER
   sampling.
 * :mod:`repro.fault.injector` -- the :class:`FaultInjector` used by the
   protected kernels, plus bit-error-rate style corruption helpers.
 * :mod:`repro.fault.metrics` -- per-trial outcomes and campaign aggregates
   (detection rate, false-alarm rate, coverage, error distributions).
-* :mod:`repro.fault.runner` -- the declarative, parallel, resumable campaign
-  runner: spec, trial-kernel registry, JSONL persistence and CLI.
-* :mod:`repro.fault.sweep` -- cross-campaign sweep grids: a
-  :class:`~repro.fault.sweep.SweepSpec` expands schemes x BERs x thresholds x
-  models into many campaigns and merges them into one report.
-* :mod:`repro.fault.campaign` -- the registered trial kernels and thin
-  wrappers behind Figures 12 and 14, plus the ``transformer_inference``
-  model-level kernel.
+* :mod:`repro.fault.runner` -- the trial-kernel registry and the worker
+  primitives every executor backend shares.
+* :mod:`repro.fault.campaign` -- the registered trial kernels behind Figures
+  12 and 14, plus the ``transformer_inference`` model-level kernel.
 * :mod:`repro.fault.dictionary` -- the fault dictionary: the
   ``@register_fault_model`` strategy registry (stuck-at, bursts, memory
   lines, at-rest weight corruption, intermittents) and pre-materialized
@@ -51,22 +41,12 @@ from repro.fault.models import FaultSite, FaultSpec, InjectionRecord
 from repro.fault.injector import FaultInjector, inject_bit_errors
 from repro.fault.metrics import CampaignResult, TrialOutcome
 
-#: Runner/sweep names resolved lazily (PEP 562) so that ``python -m
-#: repro.fault.runner`` / ``python -m repro.fault.sweep`` do not import their
-#: modules twice.
+#: Registry and fault-dictionary names resolved lazily (PEP 562), so
+#: ``import repro.fault`` loads neither module until one of them is used.
 _RUNNER_EXPORTS = (
-    "CampaignRunner",
-    "CampaignSpec",
     "available_campaigns",
     "campaign_summaries",
     "register_campaign",
-    "run_campaign",
-)
-_SWEEP_EXPORTS = (
-    "SweepEntry",
-    "SweepResult",
-    "SweepSpec",
-    "run_sweep",
 )
 _DICTIONARY_EXPORTS = (
     "FAULTLOAD_SCHEMA_VERSION",
@@ -87,10 +67,6 @@ def __getattr__(name: str):
         from repro.fault import runner
 
         return getattr(runner, name)
-    if name in _SWEEP_EXPORTS:
-        from repro.fault import sweep
-
-        return getattr(sweep, name)
     if name in _DICTIONARY_EXPORTS:
         from repro.fault import dictionary
 
@@ -106,16 +82,9 @@ __all__ = [
     "inject_bit_errors",
     "CampaignResult",
     "TrialOutcome",
-    "CampaignRunner",
-    "CampaignSpec",
     "available_campaigns",
     "campaign_summaries",
     "register_campaign",
-    "run_campaign",
-    "SweepEntry",
-    "SweepResult",
-    "SweepSpec",
-    "run_sweep",
     "FAULTLOAD_SCHEMA_VERSION",
     "FaultModel",
     "Faultload",

@@ -8,10 +8,11 @@ per-threshold sweep table.
 
 Every campaign is implemented as a per-trial kernel registered on
 :mod:`repro.fault.runner` (``trial(rng, params) -> record``), so all of them
-can be sharded across workers, checkpointed to JSONL and resumed, and driven
-from declarative spec files via ``python -m repro.fault.runner``.  The
-original entry points below are thin wrappers that build a
-:class:`~repro.fault.runner.CampaignSpec` and run it in-process.
+can be sharded across workers, checkpointed and resumed, and driven from
+declarative spec files via ``python -m repro run`` (or in-process with
+:func:`repro.exec.run_experiment`).  Each kernel's docstring opens with the
+one-line summary ``repro list-campaigns`` prints, followed by the fault model
+it simulates and the parameters it reads.
 """
 
 from __future__ import annotations
@@ -22,15 +23,9 @@ import numpy as np
 
 from repro.core.config import AttentionConfig
 from repro.core.snvr import exp_checksum_propagate, strided_products
-from repro.core.strided_abft import StridedABFT, stride_class_counts
-from repro.fault.injector import inject_bit_errors
-from repro.fault.metrics import CampaignResult, TrialOutcome
-from repro.fault.runner import (
-    CampaignSpec,
-    register_campaign,
-    register_campaign_batch,
-    run_campaign,
-)
+from repro.core.strided_abft import StridedABFT
+from repro.fault.metrics import TrialOutcome
+from repro.fault.runner import register_campaign, register_campaign_batch
 from repro.fp.bitflip import flip_bit
 from repro.fp.float16 import fp16_matmul
 from repro.gemm.checksum import (
@@ -45,7 +40,28 @@ from repro.gemm.checksum import (
 # --------------------------------------------------------------------------- #
 @register_campaign("abft_error_coverage")
 def _abft_error_coverage_trial(rng: np.random.Generator, params: dict) -> dict:
-    """One coverage trial: burst fault events against one ABFT scheme."""
+    """One coverage trial: burst fault events against one ABFT scheme.
+
+    Coverage is the fraction of fault events fully corrected by one ABFT
+    scheme (Figure 12, left).  Soft errors in a computing unit corrupt the run
+    of output elements that the faulty lane produces, so each fault event is
+    modelled as a short burst of corrupted elements within one output row
+    (1-8 consecutive positions, geometrically distributed).  The number of
+    events per protected block follows a Poisson law whose mean is the
+    bit-error rate times the number of operand bits processed while producing
+    the block (``rows * cols * depth * 2 * 16``).
+
+    * The traditional *element* checksum keeps a single checksum column per
+      row and can only correct an event that corrupted exactly one element.
+    * The *tensor* (strided) checksum keeps 8 interleaved checksum columns per
+      row and corrects any burst whose elements fall in distinct stride
+      classes -- the "up to 8x" coverage improvement of Section 3.3.
+
+    An event counts as corrected when every corrupted element was restored to
+    within the checksum noise floor.  Params: ``bit_error_rate`` (required),
+    ``scheme`` (``"tensor"`` | ``"element"``), ``rows``/``cols``/``depth``
+    (128/128/64), ``stride`` (8), ``rtol`` (0.02).
+    """
     scheme = params.get("scheme", "tensor")
     if scheme not in ("tensor", "element"):
         raise ValueError("scheme must be 'tensor' or 'element'")
@@ -185,55 +201,6 @@ def _abft_error_coverage_batch(rngs: list, params: dict) -> list[dict]:
     return records
 
 
-def abft_error_coverage(
-    bit_error_rate: float,
-    n_trials: int = 50,
-    scheme: str = "tensor",
-    rows: int = 128,
-    cols: int = 128,
-    depth: int = 64,
-    stride: int = 8,
-    seed: int = 0,
-    rtol: float = 0.02,
-) -> CampaignResult:
-    """Fraction of fault events fully corrected by one ABFT scheme (Figure 12, left).
-
-    Soft errors in a computing unit corrupt the run of output elements that
-    the faulty lane produces, so each fault event is modelled as a short burst
-    of corrupted elements within one output row (1-8 consecutive positions,
-    geometrically distributed).  The number of events per protected block
-    follows a Poisson law whose mean is the bit-error rate times the number of
-    operand bits processed while producing the block
-    (``rows * cols * depth * 2 * 16``).
-
-    * The traditional *element* checksum keeps a single checksum column per
-      row and can only correct an event that corrupted exactly one element.
-    * The *tensor* (strided) checksum keeps 8 interleaved checksum columns per
-      row and corrects any burst whose elements fall in distinct stride
-      classes -- the "up to 8x" coverage improvement of Section 3.3.
-
-    Coverage is the fraction of fault events whose every corrupted element was
-    restored to within the checksum noise floor.
-    """
-    if scheme not in ("tensor", "element"):
-        raise ValueError("scheme must be 'tensor' or 'element'")
-    spec = CampaignSpec(
-        campaign="abft_error_coverage",
-        n_trials=n_trials,
-        seed=seed,
-        params={
-            "bit_error_rate": bit_error_rate,
-            "scheme": scheme,
-            "rows": rows,
-            "cols": cols,
-            "depth": depth,
-            "stride": stride,
-            "rtol": rtol,
-        },
-    )
-    return run_campaign(spec)
-
-
 # --------------------------------------------------------------------------- #
 # Figure 12 (right): detection / false-alarm rate vs relative threshold
 # --------------------------------------------------------------------------- #
@@ -287,7 +254,16 @@ def _peak_residual(values: np.ndarray) -> float:
 
 @register_campaign("abft_detection_sweep", aggregate=threshold_sweep_aggregate)
 def _abft_detection_trial(rng: np.random.Generator, params: dict) -> dict:
-    """One sweep trial: clean and single-bit-flip residuals of strided ABFT."""
+    """One sweep trial: clean and single-bit-flip residuals of strided ABFT.
+
+    The strided-ABFT detection vs false-alarm trade-off over a threshold
+    sweep (Figure 12, right).  Each trial computes a score block twice: once
+    clean (false-alarm measurement -- any residual beyond the threshold is a
+    false positive, caused purely by FP16 round-off between the checksum GEMM
+    and the strided re-accumulation) and once with a single random bit flip
+    injected (detection measurement).  Params: ``thresholds`` (required),
+    ``rows``/``cols``/``depth`` (64 each), ``stride`` (8).
+    """
     _require_thresholds(params)  # fail on trial 0, not after the whole campaign
     rows = int(params.get("rows", 64))
     cols = int(params.get("cols", 64))
@@ -354,44 +330,21 @@ def _abft_detection_batch(rngs: list, params: dict) -> list[dict]:
     return records
 
 
-def abft_detection_sweep(
-    thresholds: list[float],
-    n_trials: int = 50,
-    rows: int = 64,
-    cols: int = 64,
-    depth: int = 64,
-    stride: int = 8,
-    seed: int = 0,
-) -> list[ThresholdSweepPoint]:
-    """Strided-ABFT detection vs false-alarm trade-off over the threshold sweep.
-
-    For every trial a score block is computed twice: once clean (false-alarm
-    measurement -- any residual beyond the threshold is a false positive,
-    caused purely by FP16 round-off between the checksum GEMM and the strided
-    re-accumulation) and once with a single random bit flip injected
-    (detection measurement).
-    """
-    spec = CampaignSpec(
-        campaign="abft_detection_sweep",
-        n_trials=n_trials,
-        seed=seed,
-        params={
-            "thresholds": [float(t) for t in thresholds],
-            "rows": rows,
-            "cols": cols,
-            "depth": depth,
-            "stride": stride,
-        },
-    )
-    return run_campaign(spec)
-
-
 # --------------------------------------------------------------------------- #
 # Figure 14 (left): SNVR detection / false-alarm rate vs relative threshold
 # --------------------------------------------------------------------------- #
 @register_campaign("snvr_detection_sweep", aggregate=threshold_sweep_aggregate)
 def _snvr_detection_trial(rng: np.random.Generator, params: dict) -> dict:
-    """One sweep trial: clean and faulty deviations of the EXP verification."""
+    """One sweep trial: clean and faulty deviations of the EXP verification.
+
+    The detection / false-alarm sweep of the unified EXP product verification
+    (Figure 14, left).  The checksum is propagated through the max
+    subtraction and exponentiation (checksum reuse); the clean-run relative
+    deviation of the strided products from the propagated checksum gives the
+    false-alarm curve, a single bit flip in the probability block gives the
+    detection curve.  Params: ``thresholds`` (required),
+    ``rows``/``cols``/``depth`` (64 each), ``stride`` (8).
+    """
     _require_thresholds(params)  # fail on trial 0, not after the whole campaign
     rows = int(params.get("rows", 64))
     cols = int(params.get("cols", 64))
@@ -461,43 +414,35 @@ def _snvr_detection_batch(rngs: list, params: dict) -> list[dict]:
     return records
 
 
-def snvr_detection_sweep(
-    thresholds: list[float],
-    n_trials: int = 50,
-    rows: int = 64,
-    cols: int = 64,
-    depth: int = 64,
-    stride: int = 8,
-    seed: int = 0,
-) -> list[ThresholdSweepPoint]:
-    """Detection / false-alarm sweep of the unified EXP product verification.
-
-    The checksum is propagated through the max subtraction and exponentiation
-    (checksum reuse); the clean-run relative deviation of the strided products
-    from the propagated checksum gives the false-alarm curve, a single bit
-    flip in the probability block gives the detection curve.
-    """
-    spec = CampaignSpec(
-        campaign="snvr_detection_sweep",
-        n_trials=n_trials,
-        seed=seed,
-        params={
-            "thresholds": [float(t) for t in thresholds],
-            "rows": rows,
-            "cols": cols,
-            "depth": depth,
-            "stride": stride,
-        },
-    )
-    return run_campaign(spec)
-
-
 # --------------------------------------------------------------------------- #
 # Figure 14 (right): error distribution after restriction
 # --------------------------------------------------------------------------- #
 @register_campaign("restriction_error_distribution")
 def _restriction_trial(rng: np.random.Generator, params: dict) -> dict:
-    """One restriction trial: corrupt softmax numerator/denominator, restrict."""
+    """One restriction trial: corrupt softmax numerator/denominator, restrict.
+
+    The residual output error after restricting a corrupted softmax value
+    (Figure 14, right).  Each trial builds a peaked attention row (realistic
+    attention concentrates its mass on a few positions), corrupts either the
+    softmax numerator (one exponentiation result) or the denominator (the
+    reduce-sum result) with a consequential bit flip, applies the chosen
+    restriction ``method`` and records the relative error of that row of the
+    attention output.
+
+    * ``"selective"`` (SNVR): numerator errors are pinpointed by the reused
+      strided checksum and recomputed exactly; an out-of-range denominator is
+      replaced by the theoretical lower-bound approximation
+      ``sum_k exp(m_ik - m_i)`` accumulated over the kernel's key blocks.
+    * ``"traditional"``: only the final normalised probabilities are clamped
+      to their theoretical [0, 1] range, so numerator and in-range denominator
+      corruptions pass through and spread the error distribution.
+
+    Params: ``method`` (``"selective"``), ``seq_len`` (256), ``head_dim``
+    (64), ``block_size`` (16: the key blocks whose local maxima feed the SNVR
+    lower bound), ``peakedness`` (4.0: the factor scaling the scores to
+    concentrate the softmax -- the paper's models attend sharply, and a flat
+    softmax makes the lower-bound approximation pessimistic).
+    """
     method = params.get("method", "selective")
     if method not in ("selective", "traditional"):
         raise ValueError("method must be 'selective' or 'traditional'")
@@ -664,57 +609,6 @@ def _restriction_batch(rngs: list, params: dict) -> list[dict]:
             ).to_dict()
         )
     return records
-
-
-def restriction_error_distribution(
-    method: str = "selective",
-    n_trials: int = 100,
-    seq_len: int = 256,
-    head_dim: int = 64,
-    block_size: int = 16,
-    peakedness: float = 4.0,
-    seed: int = 0,
-) -> CampaignResult:
-    """Residual output error after restricting a corrupted softmax value (Fig. 14, right).
-
-    Each trial builds a peaked attention row (realistic attention concentrates
-    its mass on a few positions), corrupts either the softmax numerator (one
-    exponentiation result) or the denominator (the reduce-sum result) with a
-    consequential bit flip, applies the chosen restriction scheme and records
-    the relative error of that row of the attention output.
-
-    * ``"selective"`` (SNVR): numerator errors are pinpointed by the reused
-      strided checksum and recomputed exactly; an out-of-range denominator is
-      replaced by the theoretical lower-bound approximation
-      ``sum_k exp(m_ik - m_i)`` accumulated over the kernel's key blocks.
-    * ``"traditional"``: only the final normalised probabilities are clamped
-      to their theoretical [0, 1] range, so numerator and in-range denominator
-      corruptions pass through and spread the error distribution.
-
-    Parameters
-    ----------
-    peakedness:
-        Scale factor applied to the scores to concentrate the softmax (the
-        paper's models attend sharply; a flat softmax makes the lower-bound
-        approximation pessimistic).
-    block_size:
-        Size of the key blocks whose local maxima feed the SNVR lower bound.
-    """
-    if method not in ("selective", "traditional"):
-        raise ValueError("method must be 'selective' or 'traditional'")
-    spec = CampaignSpec(
-        campaign="restriction_error_distribution",
-        n_trials=n_trials,
-        seed=seed,
-        params={
-            "method": method,
-            "seq_len": seq_len,
-            "head_dim": head_dim,
-            "block_size": block_size,
-            "peakedness": peakedness,
-        },
-    )
-    return run_campaign(spec)
 
 
 # --------------------------------------------------------------------------- #

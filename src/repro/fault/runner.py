@@ -1,45 +1,30 @@
-"""Declarative Monte-Carlo campaign specs, the trial-kernel registry, and the
-legacy single-campaign runner.
+"""The trial-kernel registry and the primitives every executor shares.
 
-The seed implemented every fault-injection campaign as a bespoke serial loop.
-This module factors the shared machinery out into three pieces so new
-campaigns (new fault models, new protection schemes, transformer-level
-sweeps) plug in with a single registered function:
+Every Monte-Carlo campaign is a per-trial kernel registered here:
+:func:`register_campaign` binds a name to ``trial(rng, params) -> record``
+plus an aggregator that folds the per-trial records into the campaign's
+result object (a :class:`~repro.fault.metrics.CampaignResult` by default),
+and :func:`register_campaign_batch` attaches an optional batched kernel that
+runs a whole chunk of trials as one tensor program.
 
-* :class:`CampaignSpec` -- a declarative description of one campaign: which
-  registered trial kernel to run, the workload / fault-model / protection
-  parameters it takes, the trial count and the root seed.  Specs round-trip
-  losslessly through ``to_dict``/``from_dict`` and ``to_json``/``from_json``,
-  so campaigns can live in version-controlled JSON files.
-* a **trial-kernel registry** -- :func:`register_campaign` binds a name to a
-  per-trial function ``trial(rng, params) -> record`` plus an aggregator that
-  folds the per-trial records into the campaign's result object (a
-  :class:`~repro.fault.metrics.CampaignResult` by default).
-* :class:`CampaignRunner` -- the legacy single-campaign entry point, now a
-  thin wrapper over the unified engine in :mod:`repro.exec`: the spec is
-  lifted into an :class:`~repro.exec.spec.ExperimentSpec` and executed on the
-  ``serial`` backend (``n_workers == 1``, in-process, usable with
-  locally-registered kernels) or the shared ``process`` pool.  Every trial
-  draws from its own generator seeded by
-  ``SeedSequence(spec.seed).spawn(n_trials)[trial]``, so the aggregate result
-  is bit-identical regardless of backend, worker count or scheduling.  With a
-  ``results_path`` each finished trial is checkpointed to JSONL, interrupted
-  campaigns resume, and completed files are rewritten in canonical
-  (trial-sorted) form -- identical bytes for every execution history.
-
-The ``python -m repro.fault.runner`` command line survives as a forwarding
-shim around ``python -m repro run`` (see :mod:`repro.exec.cli`).
+Specs, execution and persistence live in :mod:`repro.exec`: an
+:class:`~repro.exec.spec.ExperimentSpec` names a registered kernel and
+:func:`~repro.exec.engine.run_experiment` runs it on any executor backend.
+Every trial draws from its own generator seeded by
+``SeedSequence(seed).spawn(n_trials)[trial]``, so results are bit-identical
+regardless of backend, worker count or scheduling.  The worker entry points
+(:func:`_iter_trial_records`, :func:`_run_trial_batch`) and the canonical
+JSON, resume-key, chunking and multiprocessing-context helpers below are the
+primitives those backends and stores share.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -83,90 +68,6 @@ def trial_batch_size() -> int:
     if value < 1:
         raise ValueError(f"{TRIAL_BATCH_ENV} must be >= 1, got {value}")
     return value
-
-
-# --------------------------------------------------------------------------- #
-# Campaign specification
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class CampaignSpec:
-    """Declarative description of one Monte-Carlo campaign.
-
-    Attributes
-    ----------
-    campaign:
-        Name of a registered trial kernel (see :func:`register_campaign`).
-    n_trials:
-        Number of independent trials to run.
-    seed:
-        Root seed.  Per-trial generators derive from
-        ``SeedSequence(seed).spawn(n_trials)``, so the same spec yields the
-        same trials no matter how they are sharded.
-    params:
-        Kernel-specific parameters (workload shape, fault model, protection
-        scheme, thresholds ...).  Values must be JSON-serialisable.
-    name:
-        Optional human-readable label; defaults to the campaign name.
-    """
-
-    campaign: str
-    n_trials: int
-    seed: int = 0
-    params: dict = field(default_factory=dict)
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.campaign:
-            raise ValueError("campaign name must be non-empty")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative (SeedSequence entropy)")
-
-    @property
-    def label(self) -> str:
-        """The display name (explicit ``name`` or the campaign name)."""
-        return self.name or self.campaign
-
-    def to_dict(self) -> dict:
-        """Plain-dict form (deep-copied via JSON, so mutation is safe)."""
-        return {
-            "campaign": self.campaign,
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-            "params": json.loads(json.dumps(self.params)),
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CampaignSpec":
-        """Inverse of :meth:`to_dict` (unknown keys are rejected)."""
-        known = {"campaign", "n_trials", "seed", "params", "name"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown CampaignSpec fields: {sorted(unknown)}")
-        return cls(
-            campaign=str(data["campaign"]),
-            n_trials=int(data["n_trials"]),
-            seed=int(data.get("seed", 0)),
-            # Deep-copied for symmetry with to_dict: the frozen spec must not
-            # alias the caller's nested mutables.
-            params=json.loads(json.dumps(data.get("params", {}))),
-            name=str(data.get("name", "")),
-        )
-
-    def to_json(self) -> str:
-        """Canonical (sorted-key) JSON form."""
-        return _canonical_json(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignSpec":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
-
-    def trial_seeds(self) -> list[np.random.SeedSequence]:
-        """The per-trial seed sequences (``SeedSequence(seed).spawn``)."""
-        return np.random.SeedSequence(self.seed).spawn(self.n_trials)
 
 
 # --------------------------------------------------------------------------- #
@@ -334,13 +235,12 @@ def campaign_summaries() -> list[tuple[str, str]]:
 # Worker entry point (top-level so it pickles under any start method)
 # --------------------------------------------------------------------------- #
 def _iter_trial_records(spec_dict: dict, indices: Sequence[int]):
-    spec = CampaignSpec.from_dict(spec_dict)
-    definition = get_campaign(spec.campaign)
+    definition = get_campaign(spec_dict["campaign"])
     # spawn() children are prefix-stable, so deriving only up to the largest
     # index this batch needs yields the same per-trial seeds as spawning all
     # n_trials (see tests/properties/test_property_campaign.py).
-    seeds = np.random.SeedSequence(spec.seed).spawn(max(indices) + 1)
-    params_json = json.dumps(spec.params)
+    seeds = np.random.SeedSequence(spec_dict["seed"]).spawn(max(indices) + 1)
+    params_json = json.dumps(spec_dict["params"])
     # Each trial draws from its own generator, so chunking can never change
     # a trial's stream -- it only decides which trials share a kernel call.
     chunk = trial_batch_size() if definition.batch is not None else 1
@@ -359,71 +259,6 @@ def _run_trial_batch(spec_dict: dict, indices: Sequence[int]) -> list[tuple[int,
 
 def _canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-# --------------------------------------------------------------------------- #
-# Runner
-# --------------------------------------------------------------------------- #
-class CampaignRunner:
-    """Executes a :class:`CampaignSpec`, optionally sharded and checkpointed.
-
-    A thin wrapper over the unified engine (:mod:`repro.exec`): the spec is
-    lifted into a single-point :class:`~repro.exec.spec.ExperimentSpec` and
-    executed on the ``serial`` or shared ``process`` backend.
-
-    Parameters
-    ----------
-    spec:
-        The campaign to run.
-    n_workers:
-        Number of ``multiprocessing`` workers.  ``1`` runs in-process (no
-        pool), which also makes locally-registered (non-importable) trial
-        kernels usable.
-    results_path:
-        Optional JSONL checkpoint file.  One line per finished trial is
-        appended as it completes; an existing file is used to skip
-        already-finished trial indices (resume), and the file is rewritten in
-        canonical trial-sorted order once the campaign completes.
-    """
-
-    def __init__(
-        self,
-        spec: CampaignSpec,
-        n_workers: int = 1,
-        results_path: str | Path | None = None,
-    ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.spec = spec
-        self.n_workers = n_workers
-        self.results_path = Path(results_path) if results_path is not None else None
-
-    # ------------------------------------------------------------------ #
-    def run(self) -> Any:
-        """Run (or resume) the campaign and return its aggregated result."""
-        from repro.exec.engine import ExperimentRunner
-        from repro.exec.spec import ExperimentSpec
-
-        result = ExperimentRunner(
-            ExperimentSpec.from_campaign(self.spec),
-            executor="serial" if self.n_workers == 1 else "process",
-            n_workers=self.n_workers,
-            results_path=self.results_path,
-        ).run()
-        return result.points[0].result
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint plumbing kept for callers of the old private surface; the
-    # implementation lives in repro.exec.checkpoint now.
-    def _open_checkpoint(self, header: bool):
-        from repro.exec.checkpoint import TrialCheckpoint
-
-        return TrialCheckpoint(self.spec, self.results_path).open(header=header)
-
-    def _checkpoint(self, sink, index: int, record: TrialRecord) -> None:
-        from repro.exec.checkpoint import TrialCheckpoint
-
-        TrialCheckpoint(self.spec, self.results_path).append(index, record, sink=sink)
 
 
 def _resume_key(spec_dict: dict) -> str:
@@ -459,89 +294,3 @@ def _mp_context():
     if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-def run_campaign(
-    spec: CampaignSpec,
-    n_workers: int = 1,
-    results_path: str | Path | None = None,
-) -> Any:
-    """Convenience wrapper: build a :class:`CampaignRunner` and run it."""
-    return CampaignRunner(spec, n_workers=n_workers, results_path=results_path).run()
-
-
-# --------------------------------------------------------------------------- #
-# Command-line interface
-# --------------------------------------------------------------------------- #
-def format_result(result: Any, title: str | None = None) -> str:
-    """Render an aggregated campaign result as a plain-text report."""
-    from repro.analysis.reporting import format_point_result
-
-    return format_point_result(result, title=title)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Forwarding shim: ``python -m repro.fault.runner`` -> ``python -m repro run``."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.fault.runner",
-        description="[deprecated: use `python -m repro run`] Run a declarative "
-        "fault-injection campaign (or sweep) from a JSON spec file.",
-    )
-    parser.add_argument("spec", nargs="?", help="path to a CampaignSpec/SweepSpec JSON file")
-    parser.add_argument("--workers", type=int, default=1, help="number of worker processes")
-    parser.add_argument(
-        "--results",
-        default=None,
-        help="checkpoint path enabling resume: a JSONL file for a campaign "
-        "spec, a directory of per-campaign JSONL files for a sweep spec",
-    )
-    parser.add_argument(
-        "--list-campaigns", action="store_true", help="list registered campaigns and exit"
-    )
-    args = parser.parse_args(argv)
-
-    from repro.exec import cli
-
-    cli.deprecation_note("python -m repro.fault.runner", "python -m repro run")
-    if args.list_campaigns:
-        return cli.main(["list-campaigns"])
-    if args.spec is None:
-        parser.error("a spec file is required (or use --list-campaigns)")
-    from repro.fault.sweep import SweepSpec, is_sweep_dict, run_sweep
-
-    data = json.loads(Path(args.spec).read_text())
-    if is_sweep_dict(data) and not data.get("grid"):
-        # Legacy behaviour: a sweep-shaped spec with an empty grid still used
-        # sweep semantics (--results is a directory holding 000-<label>.jsonl),
-        # which ExperimentSpec would read as a plain campaign.  Run it through
-        # the engine-backed sweep wrapper to keep old checkpoints resumable.
-        from repro.analysis.reporting import format_sweep_result
-
-        if args.results is not None and Path(args.results).is_file():
-            parser.error(
-                f"--results {args.results} is a file, but a sweep spec "
-                "checkpoints into a directory of per-campaign JSONL files"
-            )
-        result = run_sweep(
-            SweepSpec.from_dict(data), n_workers=args.workers, results_dir=args.results
-        )
-        print(format_sweep_result(result))
-        return 0
-    forwarded = ["run", args.spec, "--workers", str(args.workers)]
-    if args.workers > 1:
-        # The legacy runner pooled workers whenever --workers > 1; the new
-        # CLI defaults to the serial backend, so forward that choice too.
-        forwarded += ["--executor", "process"]
-    if args.results is not None:
-        forwarded += ["--results", args.results]
-    return cli.main(forwarded)
-
-
-if __name__ == "__main__":
-    # Under ``python -m repro.fault.runner`` this file executes as
-    # ``__main__`` while the trial kernels register themselves against the
-    # canonical ``repro.fault.runner`` module; delegate so both sides share
-    # one registry.
-    from repro.fault import runner as _canonical
-
-    sys.exit(_canonical.main())

@@ -20,6 +20,7 @@ Third-party backends register with :func:`register_store`.
 
 from repro.store.base import (
     DEFAULT_STORE,
+    MANIFEST_NAME,
     NullStore,
     PointStore,
     PointView,
@@ -30,17 +31,13 @@ from repro.store.base import (
     experiment_resume_key,
     get_store,
     open_store,
+    progress_sidecar_path,
+    read_manifest,
     register_store,
     sniff_store,
 )
 from repro.store.convert import convert_store, default_convert_path
-from repro.store.jsonl import (
-    MANIFEST_NAME,
-    JsonlStore,
-    canonical_record_bytes,
-    progress_sidecar_path,
-    read_manifest,
-)
+from repro.store.jsonl import JsonlStore, canonical_record_bytes
 from repro.store.query import QueryFilter, count_query, query_records
 from repro.store.sqlite import SqlitePointStore, SqliteStore
 

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 # The interface layer deliberately imports nothing from ``repro.exec`` at
 # module scope: the engine imports this module, and ``repro.exec.__init__``
 # imports the engine, so an eager exec import here would be circular.
-from repro.fault.runner import CampaignSpec, _canonical_json
+from repro.fault.runner import _canonical_json
 
 if TYPE_CHECKING:
     from repro.exec.spec import ExperimentSpec
@@ -164,7 +164,7 @@ class PointView:
 
     index: int
     point: dict
-    spec: CampaignSpec
+    spec: ExperimentSpec
     n_done: int
 
     @property
@@ -228,7 +228,7 @@ class ResultsStore(abc.ABC):
         """
 
     @abc.abstractmethod
-    def point_store(self, index: int, spec: CampaignSpec, run_spec: CampaignSpec) -> PointStore:
+    def point_store(self, index: int, spec: ExperimentSpec, run_spec: ExperimentSpec) -> PointStore:
         """The persistence handle of grid point ``index``.
 
         ``spec`` is the manifest expansion (names the storage location);
@@ -297,7 +297,7 @@ class NullStore(ResultsStore):
 
     def prepare(self) -> None: ...
 
-    def point_store(self, index: int, spec: CampaignSpec, run_spec: CampaignSpec) -> PointStore:
+    def point_store(self, index: int, spec: ExperimentSpec, run_spec: ExperimentSpec) -> PointStore:
         from repro.exec.checkpoint import TrialCheckpoint
 
         return TrialCheckpoint(run_spec, None)

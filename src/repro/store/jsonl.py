@@ -9,10 +9,6 @@ completion snapshot.  The write path delegates to
 checkpoints, goldens and the cross-backend byte-parity suites are untouched
 by the store refactor: a ``--store jsonl`` run produces the same bytes the
 engine produced before stores existed.
-
-The manifest/sidecar helpers (:data:`MANIFEST_NAME`,
-:func:`progress_sidecar_path`, :func:`read_manifest`) moved here from
-``repro.exec.engine``, which re-exports them for compatibility.
 """
 
 from __future__ import annotations
@@ -31,8 +27,8 @@ from repro.exec.checkpoint import (
 )
 from repro.exec.results import TrialRecordSet
 from repro.exec.spec import ExperimentSpec
-from repro.fault.runner import CampaignSpec, _canonical_json
-from repro.store.base import (  # noqa: F401  (manifest helpers re-exported)
+from repro.fault.runner import _canonical_json
+from repro.store.base import (
     MANIFEST_NAME,
     PointView,
     ResultsStore,
@@ -121,7 +117,7 @@ class JsonlStore(ResultsStore):
         manifest.write_text(self.spec.to_json() + "\n")
 
     def point_store(
-        self, index: int, spec: CampaignSpec, run_spec: CampaignSpec
+        self, index: int, spec: ExperimentSpec, run_spec: ExperimentSpec
     ) -> TrialCheckpoint:
         return TrialCheckpoint(run_spec, self._point_path(self.spec, index, spec))
 
@@ -159,7 +155,7 @@ class JsonlStore(ResultsStore):
     # Read side
     # ------------------------------------------------------------------ #
     def _point_path(
-        self, spec: ExperimentSpec | None, index: int, campaign_spec: CampaignSpec
+        self, spec: ExperimentSpec | None, index: int, campaign_spec: ExperimentSpec
     ) -> Path:
         if spec is not None and spec.is_sweep:
             return campaign_results_path(self.path, index, campaign_spec)
@@ -194,8 +190,8 @@ class JsonlStore(ResultsStore):
         raise ValueError(f"results path {self.path} does not exist")
 
     def _point_state(
-        self, spec: ExperimentSpec, index: int, campaign_spec: CampaignSpec
-    ) -> tuple[CampaignSpec, dict | None, dict[int, TrialRecord]]:
+        self, spec: ExperimentSpec, index: int, campaign_spec: ExperimentSpec
+    ) -> tuple[ExperimentSpec, dict | None, dict[int, TrialRecord]]:
         """``(header-trusting spec, header dict or None, records)`` of a point.
 
         The file's own header decides the trial count: an adaptive run stops

@@ -45,7 +45,7 @@ from typing import Iterator, Sequence
 from repro.exec.checkpoint import TrialRecord
 from repro.exec.results import TrialRecordSet
 from repro.exec.spec import ExperimentSpec
-from repro.fault.runner import CampaignSpec, _canonical_json, _resume_key
+from repro.fault.runner import _canonical_json, _resume_key
 from repro.store.base import (
     PointStore,
     PointView,
@@ -81,7 +81,7 @@ CREATE TABLE IF NOT EXISTS trials (
 class SqlitePointStore(PointStore):
     """One grid point's handle into the experiment database."""
 
-    def __init__(self, store: "SqliteStore", index: int, run_spec: CampaignSpec) -> None:
+    def __init__(self, store: "SqliteStore", index: int, run_spec: ExperimentSpec) -> None:
         self.store = store
         self.index = index
         self.spec = run_spec
@@ -291,7 +291,7 @@ class SqliteStore(ResultsStore):
         )
 
     def point_store(
-        self, index: int, spec: CampaignSpec, run_spec: CampaignSpec
+        self, index: int, spec: ExperimentSpec, run_spec: ExperimentSpec
     ) -> SqlitePointStore:
         return SqlitePointStore(self, index, run_spec)
 
@@ -341,7 +341,7 @@ class SqliteStore(ResultsStore):
             point_spec, n_done = campaign_spec, 0
             if index in rows:
                 header, n_done = rows[index]
-                point_spec = CampaignSpec.from_dict(header)
+                point_spec = ExperimentSpec.from_dict(header)
             points.append(
                 PointView(index=index, point=point, spec=point_spec, n_done=n_done)
             )
@@ -352,7 +352,7 @@ class SqliteStore(ResultsStore):
         _, campaign_spec = spec.expanded()[index]
         rows = self._point_rows()
         point_spec = (
-            CampaignSpec.from_dict(rows[index][0]) if index in rows else campaign_spec
+            ExperimentSpec.from_dict(rows[index][0]) if index in rows else campaign_spec
         )
         records = {
             trial: json.loads(record)

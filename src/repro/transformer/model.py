@@ -10,7 +10,6 @@ path behind the paper's cross-scheme comparisons and the
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from repro.fault.injector import FaultInjector
 from repro.transformer.configs import TransformerConfig
 from repro.transformer.ffn import FeedForward
 from repro.transformer.layers import Embedding, LayerNorm, ProtectedLinear, gelu, relu
-from repro.transformer.mha import MultiHeadAttention, resolve_scheme_name
+from repro.transformer.mha import MultiHeadAttention
 
 
 @dataclass
@@ -41,11 +40,8 @@ class TransformerBlock:
         config: TransformerConfig,
         rng: np.random.Generator,
         attention_block_size: int,
-        scheme: str | bool | None = None,
+        scheme: str | None = None,
     ):
-        scheme = resolve_scheme_name(
-            config.scheme if scheme is None else scheme, unified_verification=None
-        )
         self.ln_attn = LayerNorm(config.hidden_dim)
         self.ln_ffn = LayerNorm(config.hidden_dim)
         self.attention = MultiHeadAttention(
@@ -54,7 +50,7 @@ class TransformerBlock:
             seq_len=config.max_seq_len,
             rng=rng,
             attention_block_size=attention_block_size,
-            scheme=scheme,
+            scheme=config.scheme if scheme is None else scheme,
         )
         activation = relu if config.name.startswith("T5") else gelu
         self.ffn = FeedForward(config.hidden_dim, config.ffn_dim, rng, activation=activation)
@@ -69,11 +65,10 @@ class TransformerBlock:
         x: np.ndarray,
         injector: FaultInjector | None,
         report: FaultToleranceReport | None,
-        protected: bool | None = None,
     ) -> np.ndarray:
-        ffn_protected = self.attention.protects_linear if protected is None else protected
-        x = x + self.attention(self.ln_attn(x), injector=injector, report=report, protected=protected)
-        x = x + self.ffn(self.ln_ffn(x), injector=injector, report=report, protected=ffn_protected)
+        protected = self.attention.protects_linear
+        x = x + self.attention(self.ln_attn(x), injector=injector, report=report)
+        x = x + self.ffn(self.ln_ffn(x), injector=injector, report=report, protected=protected)
         return x
 
 
@@ -95,9 +90,6 @@ class TransformerModel:
         ``config.scheme``.  ``"none"`` runs the whole stack unprotected.
     with_lm_head:
         Attach a vocabulary projection producing logits.
-    unified_verification:
-        Deprecated: ``True`` maps to ``scheme="efta_unified"``, ``False`` to
-        ``scheme="efta"``.
     """
 
     def __init__(
@@ -105,15 +97,11 @@ class TransformerModel:
         config: TransformerConfig,
         seed: int = 0,
         attention_block_size: int = 128,
-        scheme: str | bool | None = None,
+        scheme: str | None = None,
         with_lm_head: bool = True,
-        unified_verification: bool | None = None,
     ):
         self.config = config
-        if scheme is None and unified_verification is None:
-            self.scheme_name = resolve_scheme_name(config.scheme, None)
-        else:
-            self.scheme_name = resolve_scheme_name(scheme, unified_verification)
+        self.scheme_name = config.scheme if scheme is None else scheme
         self.scheme_cls = get_scheme(self.scheme_name)  # fail fast on typos
         rng = np.random.default_rng(seed)
         self.embedding = Embedding(config.vocab_size, config.hidden_dim, config.max_seq_len, rng)
@@ -138,36 +126,17 @@ class TransformerModel:
         self,
         token_ids: np.ndarray,
         injector: FaultInjector | None = None,
-        protected: bool | None = None,
     ) -> TransformerOutput:
-        """Run a full forward pass over ``token_ids`` of shape (batch, seq_len).
-
-        ``protected`` is deprecated: pass ``scheme="none"`` at construction to
-        run unprotected instead of ``protected=False`` here.
-        """
-        if protected is not None:
-            warnings.warn(
-                "protected= is deprecated; construct the model with "
-                "scheme='none' to run unprotected",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+        """Run a full forward pass over ``token_ids`` of shape (batch, seq_len)."""
         report = FaultToleranceReport()
         already_applied = injector.applied_count if injector is not None else 0
         x = self.embedding(np.asarray(token_ids))
-        with warnings.catch_warnings():
-            if protected is not None:
-                # Warned once above, attributed to the caller; the per-layer
-                # re-warnings from MultiHeadAttention would point at repro's
-                # own frames.
-                warnings.simplefilter("ignore", DeprecationWarning)
-            for block in self.blocks:
-                x = block(x, injector, report, protected)
+        for block in self.blocks:
+            x = block(x, injector, report)
         x = self.final_norm(x)
         logits = None
         if self.lm_head is not None:
-            head_protected = self.protects_linear if protected is None else protected
-            logits = self.lm_head(x, injector=injector, protected=head_protected)
+            logits = self.lm_head(x, injector=injector, protected=self.protects_linear)
         if injector is not None:
             # Attention sub-kernels already copied their own records into the
             # merged report; add only the ones no sub-report captured.
@@ -184,12 +153,11 @@ class TransformerModel:
         self,
         token_ids: np.ndarray,
         injector: FaultInjector | None = None,
-        protected: bool | None = None,
     ) -> tuple[np.ndarray, TransformerOutput]:
         """One greedy decoding step: returns the argmax next token per batch row."""
         if self.lm_head is None:
             raise RuntimeError("generate_token requires the model to have an LM head")
-        output = self.forward(token_ids, injector=injector, protected=protected)
+        output = self.forward(token_ids, injector=injector)
         next_token = np.argmax(output.logits[:, -1, :], axis=-1)
         return next_token, output
 

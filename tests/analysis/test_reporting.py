@@ -7,6 +7,8 @@ trailing whitespace is insignificant and stripped per line.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.reporting import (
@@ -18,11 +20,15 @@ from repro.analysis.reporting import (
     format_table,
     format_threshold_sweep,
 )
-from repro.exec.results import RecordSummary
+from repro.exec.results import (
+    ExperimentResult,
+    PointResult,
+    RecordSummary,
+    TrialRecordSet,
+)
+from repro.exec.spec import ExperimentSpec
 from repro.fault.campaign import ThresholdSweepPoint
 from repro.fault.metrics import CampaignResult, TrialOutcome
-from repro.fault.runner import CampaignSpec
-from repro.fault.sweep import SweepEntry, SweepResult, SweepSpec
 
 
 def lines(text: str) -> list[str]:
@@ -111,17 +117,31 @@ class TestFormatThresholdSweep:
         ]
 
 
-def _sweep_result(results) -> SweepResult:
-    sweep = SweepSpec(
+def _sweep_result(results, n_done=None) -> ExperimentResult:
+    """A finished two-point sweep; ``n_done`` overrides each point's final
+    trial count (an adaptive run's stop counts)."""
+    sweep = ExperimentSpec(
         campaign="c",
         n_trials=2,
         grid={"scheme": ["a", "b"]},
         name="golden",
     )
-    entries = []
-    for (point, spec), result in zip(sweep.expanded(), results):
-        entries.append(SweepEntry(point=point, spec=spec, result=result))
-    return SweepResult(sweep=sweep, entries=entries)
+    n_done = n_done or [sweep.n_trials] * len(results)
+    points = []
+    for index, ((point, spec), result, n) in enumerate(
+        zip(sweep.expanded(), results, n_done)
+    ):
+        spec = replace(spec, n_trials=n)
+        points.append(
+            PointResult(
+                index=index,
+                point=point,
+                spec=spec,
+                records=TrialRecordSet(spec=spec),
+                result=result,
+            )
+        )
+    return ExperimentResult(spec=sweep, points=points)
 
 
 class TestFormatSweepResult:
@@ -171,36 +191,69 @@ class TestFormatSweepResult:
         result = _sweep_result([campaign_result(), campaign_result()])
         assert format_sweep_result(result, title="my title").splitlines()[0] == "my title"
 
+    def test_title_spans_differing_point_counts(self):
+        # Adaptive points stop at different counts; the title shows the span.
+        mixed = _sweep_result([campaign_result(4, 4), campaign_result(8, 8)], n_done=[4, 8])
+        assert lines(format_sweep_result(mixed))[0] == "sweep: golden (2 campaigns x 4-8 trials)"
+
+
+#: Engine-run inputs of the title goldens: a fixed-count spec, and an
+#: adaptive one whose points all stop at 4 of their 16 initial trials.
+FIXED = dict(n_trials=2, params={"bit_error_rate": 1e-7, "rows": 32, "cols": 32})
+ADAPTIVE = dict(
+    n_trials=16,
+    params={"bit_error_rate": 1e-3, "rows": 32, "cols": 32},
+    adaptive={"target_ci": 0.45, "batch": 4},
+)
+
+
+def _spec(kind: dict, **fields) -> ExperimentSpec:
+    return ExperimentSpec(campaign="abft_error_coverage", seed=7, **kind, **fields)
+
 
 class TestFormatExperimentResult:
-    def test_campaign_title_and_dispatch(self):
+    @pytest.mark.parametrize(
+        "kind, title",
+        [
+            (FIXED, "campaign: abft_error_coverage (2 trials)"),
+            (ADAPTIVE, "campaign: abft_error_coverage (4 trials)"),
+        ],
+        ids=["fixed", "adaptive"],
+    )
+    def test_campaign_title_and_dispatch(self, kind, title):
         from repro.exec.engine import run_experiment
-        from repro.exec.spec import ExperimentSpec
 
-        spec = ExperimentSpec(
-            campaign="abft_error_coverage",
-            n_trials=2,
-            seed=7,
-            params={"bit_error_rate": 1e-7, "scheme": "tensor", "rows": 32, "cols": 32},
-        )
-        text = format_experiment_result(run_experiment(spec))
-        assert text.splitlines()[0] == "campaign: abft_error_coverage (2 trials)"
+        text = format_experiment_result(run_experiment(_spec(kind)))
+        assert text.splitlines()[0] == title
         assert "detection rate" in text
 
-    def test_sweep_dispatch(self):
+    @pytest.mark.parametrize(
+        "kind, title",
+        [
+            (FIXED, "sweep: exp-golden (2 campaigns x 2 trials)"),
+            (ADAPTIVE, "sweep: exp-golden (2 campaigns x 4 trials)"),
+        ],
+        ids=["fixed", "adaptive"],
+    )
+    def test_sweep_dispatch(self, kind, title):
         from repro.exec.engine import run_experiment
-        from repro.exec.spec import ExperimentSpec
 
-        spec = ExperimentSpec(
-            campaign="abft_error_coverage",
-            n_trials=2,
-            seed=7,
-            params={"bit_error_rate": 1e-7, "rows": 32, "cols": 32},
-            grid={"scheme": ["tensor", "element"]},
-            name="exp-golden",
-        )
+        spec = _spec(kind, grid={"scheme": ["tensor", "element"]}, name="exp-golden")
         text = format_experiment_result(run_experiment(spec))
-        assert text.splitlines()[0] == "sweep: exp-golden (2 campaigns x 2 trials)"
+        assert text.splitlines()[0] == title
+
+    @pytest.mark.parametrize("grid", [{}, {"scheme": ["tensor", "element"]}])
+    def test_run_and_report_print_the_same_title(self, tmp_path, capsys, grid):
+        from repro.exec.cli import main
+
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(_spec(ADAPTIVE, grid=grid, name="exp-golden").to_json())
+        results = tmp_path / ("out" if grid else "out.jsonl")
+        assert main(["run", str(spec_file), "--results", str(results)]) == 0
+        run_title = capsys.readouterr().out.splitlines()[0]
+        assert main(["report", str(results)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == run_title
+        assert "4 trials" in run_title
 
 
 class TestFormatPointResult:

@@ -17,15 +17,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exec.adaptive import AdaptiveSpec
 from repro.exec.checkpoint import TrialCheckpoint, parse_results_text
-from repro.exec.engine import MANIFEST_NAME, run_experiment
+from repro.exec.engine import run_experiment
 from repro.exec.progress import ProgressTracker
 from repro.exec.spec import ExperimentSpec
 from repro.fault.metrics import CampaignResult, TrialOutcome
-from repro.fault.runner import CampaignSpec, register_campaign
+from repro.fault.runner import register_campaign
+from repro.store import MANIFEST_NAME
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
-PARALLEL_BACKENDS = ["process", "async", "distributed"]
+PARALLEL_BACKENDS = ["process", "distributed"]
 
 
 # --------------------------------------------------------------------------- #
@@ -175,15 +176,15 @@ class TestSpecIntegration:
         assert "adaptive" not in spec.to_dict()
         assert "adaptive" not in toy_spec(
             adaptive=AdaptiveSpec(target_ci=0.1)
-        ).as_campaign().to_dict()
+        ).expand()[0].to_dict()
 
 
 # --------------------------------------------------------------------------- #
 # Checkpoint guards (regressions for the resume bugfixes)
 # --------------------------------------------------------------------------- #
 class TestCheckpointGuards:
-    def _write_checkpoint(self, path: Path, n_trials: int) -> CampaignSpec:
-        spec = toy_spec(n_trials=n_trials).as_campaign()
+    def _write_checkpoint(self, path: Path, n_trials: int) -> ExperimentSpec:
+        spec = toy_spec(n_trials=n_trials)
         run_experiment(spec, results_path=path)
         return spec
 
@@ -212,7 +213,7 @@ class TestCheckpointGuards:
         path = tmp_path / "out.jsonl"
         spec = self._write_checkpoint(path, 6)
         checkpoint = TrialCheckpoint(
-            CampaignSpec(
+            ExperimentSpec(
                 campaign=spec.campaign,
                 n_trials=2,
                 seed=spec.seed,
@@ -229,7 +230,7 @@ class TestCheckpointGuards:
         """A trial line without its record parses like a torn line."""
         text = "\n".join(
             [
-                json.dumps({"spec": toy_spec(n_trials=3).as_campaign().to_dict()}),
+                json.dumps({"spec": toy_spec(n_trials=3).to_dict()}),
                 json.dumps({"trial": 0, "record": {"injected": 1}}),
                 json.dumps({"trial": 1}),  # torn mid-line / hand-edited
                 json.dumps({"trial": 2, "record": {"injected": 1}}),
@@ -400,7 +401,7 @@ class TestAdaptiveByteParity:
 
     @pytest.mark.parametrize(
         "backend,n_workers",
-        [("process", 2), ("process", 3), ("async", 2), ("async", 4), ("distributed", 2)],
+        [("process", 2), ("process", 3), ("distributed", 2)],
     )
     def test_backend_matches_serial(
         self, backend, n_workers, serial_bytes, tmp_path

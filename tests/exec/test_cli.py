@@ -1,4 +1,4 @@
-"""Tests for the umbrella CLI and the legacy forwarding shims."""
+"""Tests for the umbrella ``repro`` CLI."""
 
 from __future__ import annotations
 
@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from repro.exec.cli import main
+from repro.exec.engine import run_experiment
 from repro.exec.spec import ExperimentSpec
+from repro.store import MANIFEST_NAME, progress_sidecar_path
 
 CAMPAIGN = ExperimentSpec(
     campaign="abft_error_coverage",
@@ -72,7 +74,7 @@ class TestRun:
         assert "fault detection rate" in out
         assert "false alarm rate" in out
 
-    @pytest.mark.parametrize("executor", ["process", "async"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_parallel_backends_byte_identical_to_serial(
         self, sweep_file, tmp_path, executor, capsys
     ):
@@ -104,6 +106,18 @@ class TestRun:
     def test_unknown_executor_errors(self, campaign_file):
         with pytest.raises(ValueError, match="unknown executor"):
             main(["run", str(campaign_file), "--executor", "quantum"])
+
+    def test_gridless_spec_refuses_a_results_directory(self, tmp_path, capsys):
+        """An empty grid is one campaign checkpointed to one JSONL file; an
+        existing directory is refused before anything runs."""
+        spec_file = tmp_path / "gridless.json"
+        spec_file.write_text(json.dumps({**CAMPAIGN.to_dict(), "grid": {}}))
+        results = tmp_path / "out"
+        results.mkdir()
+        with pytest.raises(SystemExit):
+            main(["run", str(spec_file), "--results", str(results)])
+        assert "is a directory" in capsys.readouterr().err
+        assert list(results.iterdir()) == []
 
     def test_sweep_results_path_file_rejected(self, sweep_file, tmp_path):
         blocker = tmp_path / "blocker.jsonl"
@@ -141,6 +155,20 @@ class TestListCampaigns:
         # The one-line docstring summary rides next to the kernel name.
         assert "burst fault events" in by_name["abft_error_coverage"]
         assert "Transformer forward pass" in by_name["transformer_inference"]
+
+    def test_prints_only_the_summary_line_of_each_kernel(self, capsys):
+        """Kernel docstrings carry modelling prose below their first line;
+        the listing keeps to one line per campaign."""
+        from repro.fault.runner import available_campaigns, get_campaign
+
+        assert len(get_campaign("abft_error_coverage").trial.__doc__.strip().splitlines()) > 1
+        assert main(["list-campaigns"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == len(available_campaigns())
+        for line in lines:
+            doc = (get_campaign(line.split()[0]).trial.__doc__ or "").strip()
+            if doc:
+                assert doc.splitlines()[0].strip() in line
 
     def test_marks_campaigns_accepting_fault_models(self, capsys):
         assert main(["list-campaigns"]) == 0
@@ -238,8 +266,6 @@ class TestReport:
         assert capsys.readouterr().out.strip() == first.strip()
 
     def test_reports_directory_without_manifest(self, sweep_file, tmp_path, capsys):
-        from repro.exec.engine import MANIFEST_NAME
-
         results = tmp_path / "out"
         main(["run", str(sweep_file), "--results", str(results)])
         capsys.readouterr()
@@ -264,8 +290,6 @@ class TestReport:
         """A non-sweep run snapshots its progress into <results>.progress.json;
         `report` shows the snapshot next to the on-disk record count."""
         import json as json_module
-
-        from repro.exec.engine import progress_sidecar_path, run_experiment
 
         results = tmp_path / "out.jsonl"
 
@@ -296,7 +320,6 @@ class TestReport:
     def test_report_renders_sidecar_when_no_records_landed(self, tmp_path, capsys):
         """A run killed before its first record leaves no JSONL at all, but
         the sidecar still lets `report` show the completion state."""
-        from repro.exec.engine import progress_sidecar_path, run_experiment
         from repro.exec.executors import Executor
 
         results = tmp_path / "never-started.jsonl"
@@ -324,8 +347,6 @@ class TestReport:
         self, sweep_file, tmp_path, capsys
     ):
         """A killed sweep renders a per-point completion table and exits 1."""
-        from repro.exec.engine import run_experiment
-
         results = tmp_path / "out"
 
         class Killed(Exception):
@@ -364,8 +385,6 @@ class TestReport:
         assert "campaign: experiment (6 trials)" in capsys.readouterr().out
 
     def test_reports_experiment_stream_file(self, tmp_path, capsys):
-        from repro.exec.engine import run_experiment
-
         stream = tmp_path / "stream.jsonl"
         stream.write_text(run_experiment(SWEEP).to_jsonl())
         assert main(["report", str(stream)]) == 0
@@ -373,7 +392,7 @@ class TestReport:
 
 
 class TestProgressFlag:
-    @pytest.mark.parametrize("executor", ["serial", "process", "async", "distributed"])
+    @pytest.mark.parametrize("executor", ["serial", "process", "distributed"])
     def test_every_backend_emits_monotonic_heartbeats(
         self, campaign_file, executor, capfd
     ):
@@ -518,109 +537,6 @@ class TestProgressFlag:
         monkeypatch.delenv("REPRO_AUTHKEY", raising=False)
         with pytest.raises(SystemExit):
             main(["worker", "--connect", "127.0.0.1:7777"])
-
-
-class TestLegacyForwarding:
-    def test_runner_cli_forwards_worker_pool(self, campaign_file, monkeypatch):
-        """--workers N > 1 must select the pooled backend, like the old runner."""
-        from repro.exec import cli as cli_module
-        from repro.fault.runner import main as runner_main
-
-        captured = {}
-
-        def fake_main(argv):
-            captured["argv"] = list(argv)
-            return 0
-
-        monkeypatch.setattr(cli_module, "main", fake_main)
-        runner_main([str(campaign_file), "--workers", "4"])
-        assert "--executor" in captured["argv"]
-        assert captured["argv"][captured["argv"].index("--executor") + 1] == "process"
-
-        runner_main([str(campaign_file), "--workers", "1"])
-        assert "--executor" not in captured["argv"]
-
-    def test_sweep_cli_forwards_worker_pool(self, sweep_file, monkeypatch):
-        from repro.exec import cli as cli_module
-        from repro.fault.sweep import main as sweep_main
-
-        captured = {}
-
-        def fake_main(argv):
-            captured["argv"] = list(argv)
-            return 0
-
-        monkeypatch.setattr(cli_module, "main", fake_main)
-        sweep_main([str(sweep_file), "--workers", "3"])
-        assert captured["argv"][captured["argv"].index("--executor") + 1] == "process"
-
-    def test_runner_cli_keeps_gridless_sweep_directory_semantics(self, tmp_path, capsys):
-        """A "grid": {} spec used sweep (directory) checkpoints pre-redesign."""
-        from repro.fault.runner import main as runner_main
-        from repro.fault.sweep import SweepSpec
-
-        gridless = SweepSpec(
-            campaign="abft_error_coverage",
-            n_trials=2,
-            seed=7,
-            base_params={"bit_error_rate": 1e-7, "scheme": "tensor", "rows": 32, "cols": 32},
-            name="runner-gridless",
-        )
-        spec_file = tmp_path / "gridless.json"
-        spec_file.write_text(gridless.to_json())
-        results = tmp_path / "out"
-        results.mkdir()  # a pre-existing (old-run) directory must be accepted
-        assert runner_main([str(spec_file), "--results", str(results)]) == 0
-        assert "sweep: runner-gridless" in capsys.readouterr().out
-        assert (results / "000-runner-gridless.jsonl").exists()
-        # And it resumes: a second invocation re-reads the same directory.
-        assert runner_main([str(spec_file), "--results", str(results)]) == 0
-
-    def test_sweep_cli_accepts_gridless_spec(self, tmp_path, capsys):
-        """The legacy sweep CLI ran empty-grid specs; the shim must too."""
-        from repro.fault.sweep import SweepSpec
-        from repro.fault.sweep import main as sweep_main
-
-        gridless = SweepSpec(
-            campaign="abft_error_coverage",
-            n_trials=2,
-            seed=7,
-            base_params={"bit_error_rate": 1e-7, "scheme": "tensor", "rows": 32, "cols": 32},
-            name="gridless",
-        )
-        spec_file = tmp_path / "gridless.json"
-        spec_file.write_text(gridless.to_json())
-        results = tmp_path / "out"
-        assert sweep_main([str(spec_file), "--results-dir", str(results)]) == 0
-        out = capsys.readouterr().out
-        assert "sweep: gridless" in out
-        assert (results / "000-gridless.jsonl").exists()
-
-    def test_runner_cli_forwards_with_notice(self, campaign_file, capsys):
-        from repro.fault.runner import main as runner_main
-
-        assert runner_main([str(campaign_file)]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "python -m repro run" in captured.err
-        assert "campaign: abft_error_coverage (6 trials)" in captured.out
-
-    def test_runner_cli_list_campaigns_has_summaries(self, capsys):
-        from repro.fault.runner import main as runner_main
-
-        assert runner_main(["--list-campaigns"]) == 0
-        captured = capsys.readouterr()
-        assert "burst fault events" in captured.out
-
-    def test_sweep_cli_forwards_with_notice(self, sweep_file, tmp_path, capsys):
-        from repro.fault.sweep import main as sweep_main
-
-        results = tmp_path / "dir"
-        assert sweep_main([str(sweep_file), "--results-dir", str(results)]) == 0
-        captured = capsys.readouterr()
-        assert "python -m repro sweep" in captured.err
-        assert "sweep: cli-sweep" in captured.out
-        assert results.is_dir()
 
 
 class TestTrialBatchFlag:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.exec.checkpoint import campaign_results_path
-from repro.exec.engine import MANIFEST_NAME, ExperimentRunner, run_experiment
+from repro.exec.engine import ExperimentRunner, run_experiment
 from repro.exec.executors import (
     Executor,
     SerialExecutor,
@@ -20,10 +20,11 @@ from repro.exec.executors import (
 )
 from repro.exec.results import TrialRecordSet
 from repro.exec.spec import ExperimentSpec
+from repro.store import MANIFEST_NAME, read_manifest
 
 #: Every built-in backend; parametrized suites cover the whole registry.
-ALL_BACKENDS = ["serial", "process", "async", "distributed"]
-PARALLEL_BACKENDS = ["process", "async", "distributed"]
+ALL_BACKENDS = ["serial", "process", "distributed"]
+PARALLEL_BACKENDS = ["process", "distributed"]
 
 
 def make_executor(name: str, n_workers: int = 2) -> Executor:
@@ -66,7 +67,7 @@ def _executor_registry_snapshot():
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(ALL_BACKENDS) <= set(available_executors())
+        assert available_executors() == sorted(ALL_BACKENDS)
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
@@ -152,12 +153,9 @@ class TestResume:
         # Run only the first grid point to completion, then resume the whole
         # sweep on the shared pool: completed work is loaded, not re-run.
         partial_dir = tmp_path / "resume"
-        first = ExperimentSpec.from_campaign(SWEEP.expand()[0])
-        from repro.exec.checkpoint import campaign_results_path
-
+        first = SWEEP.expand()[0]
         run_experiment(
-            first,
-            results_path=campaign_results_path(partial_dir, 0, SWEEP.expand()[0]),
+            first, results_path=campaign_results_path(partial_dir, 0, first)
         )
         resumed = run_experiment(
             SWEEP, executor="process", n_workers=3, results_path=partial_dir
@@ -170,12 +168,10 @@ class TestResume:
         reference = run_experiment(CAMPAIGN, results_path=path)
         torn = "\n".join(path.read_text().splitlines()[:4]) + '\n{"trial": 7, "rec'
         path.write_text(torn)
-        resumed = run_experiment(CAMPAIGN, executor="async", n_workers=2, results_path=path)
+        resumed = run_experiment(CAMPAIGN, executor="process", n_workers=2, results_path=path)
         assert resumed.result.outcomes == reference.result.outcomes
 
     def test_manifest_written_and_checked(self, tmp_path):
-        from repro.exec.engine import read_manifest
-
         run_experiment(SWEEP, results_path=tmp_path)
         manifest = tmp_path / MANIFEST_NAME
         assert manifest.exists()
@@ -276,17 +272,16 @@ class TestResumeUnderFailure:
 
 
 class TestAbort:
-    def test_async_abort_cancels_queued_batches_and_returns_promptly(self):
-        """Closing the async generator mid-run (a raising listener, Ctrl-C)
-        must cancel the batches that have not started yet instead of
-        blocking in ``shutdown(wait=True)`` until every submitted batch
-        finishes."""
+    def test_process_abort_drops_queued_batches_and_returns_promptly(self):
+        """Closing the process generator mid-run (a raising listener, Ctrl-C)
+        must drop the batches that have not started yet instead of waiting
+        for every queued batch to finish."""
         from repro.exec.distributed import import_worker_module
 
         import_worker_module(str(Path(__file__).with_name("chaos_kernel.py")))
-        executor = build_executor("async", n_workers=2)
+        executor = build_executor("process", n_workers=2)
         # 8 batches of 4 trials x 0.5s each: draining the queue after an
-        # abort would take ~8s on 2 workers; a cancelling close returns as
+        # abort would take ~8s on 2 workers; a terminating close returns as
         # soon as nothing new is dispatched.
         spec_dict = {
             "campaign": "chaos_sleep",
@@ -300,12 +295,12 @@ class TestAbort:
         stream.close()  # the abort path: GeneratorExit inside execute()
         assert time.monotonic() - start < 2.0
 
-    def test_async_kernel_error_does_not_drain_queued_batches(self):
+    def test_process_kernel_error_does_not_drain_queued_batches(self):
         """A failing kernel aborts the run; the queued batches are dropped."""
         from repro.exec.distributed import import_worker_module
 
         import_worker_module(str(Path(__file__).with_name("chaos_kernel.py")))
-        executor = build_executor("async", n_workers=1)
+        executor = build_executor("process", n_workers=1)
         bad = {"campaign": "chaos_error", "n_trials": 1, "seed": 0, "params": {}}
         slow = {
             "campaign": "chaos_sleep",

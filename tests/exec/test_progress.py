@@ -252,7 +252,7 @@ class TestEngineEmission:
         assert checkpointed == 3  # every record that landed was flushed
 
     def test_manifest_progress_tracks_partial_state(self, tmp_path):
-        from repro.exec.engine import MANIFEST_NAME, read_manifest
+        from repro.store import MANIFEST_NAME, read_manifest
 
         results = tmp_path / "out"
 

@@ -14,9 +14,8 @@ from repro.exec.results import (
 from repro.exec.spec import ExperimentSpec
 from repro.exec.engine import run_experiment
 from repro.fault.metrics import CampaignResult
-from repro.fault.runner import CampaignSpec
 
-SPEC = CampaignSpec(
+SPEC = ExperimentSpec(
     campaign="abft_error_coverage",
     n_trials=4,
     seed=7,
@@ -76,7 +75,7 @@ class TestTrialRecordSet:
     def test_jsonl_matches_engine_checkpoint_bytes(self, tmp_path):
         """to_jsonl writes the exact canonical checkpoint format."""
         path = tmp_path / "run.jsonl"
-        result = run_experiment(ExperimentSpec.from_campaign(SPEC), results_path=path)
+        result = run_experiment(SPEC, results_path=path)
         assert path.read_text() == result.points[0].records.to_jsonl()
 
     def test_from_jsonl_requires_header_or_spec(self):
@@ -86,7 +85,7 @@ class TestTrialRecordSet:
         assert records.records == {0: {"x": 1}}
 
     def test_from_jsonl_rejects_foreign_header(self):
-        other = CampaignSpec(campaign="snvr_detection_sweep", n_trials=4)
+        other = ExperimentSpec(campaign="snvr_detection_sweep", n_trials=4)
         with pytest.raises(ValueError, match="belongs to"):
             TrialRecordSet.from_jsonl(_full_set().to_jsonl(), spec=other)
 
@@ -116,12 +115,12 @@ class TestMerge:
             left.merge(right)
 
     def test_different_specs_refused(self):
-        other = CampaignSpec.from_dict({**SPEC.to_dict(), "seed": 99})
+        other = ExperimentSpec.from_dict({**SPEC.to_dict(), "seed": 99})
         with pytest.raises(ValueError, match="specs differ"):
             _full_set().merge(TrialRecordSet(spec=other))
 
     def test_cosmetic_name_does_not_block_merge(self):
-        renamed = CampaignSpec.from_dict({**SPEC.to_dict(), "name": "relabelled"})
+        renamed = ExperimentSpec.from_dict({**SPEC.to_dict(), "name": "relabelled"})
         merged = _full_set().merge(TrialRecordSet(spec=renamed))
         assert merged.complete
 
@@ -135,6 +134,13 @@ class TestExperimentResult:
         grid={"scheme": ["tensor", "element"], "bit_error_rate": [1e-8, 1e-7]},
         name="res-test",
     )
+
+    def test_sweep_points_carry_their_point_specs(self):
+        result = run_experiment(self.SWEEP)
+        assert result.spec.axes == ["bit_error_rate", "scheme"]
+        assert len(result) == 4
+        assert [entry.spec for entry in result] == self.SWEEP.expand()
+        assert [entry.result.n_trials for entry in result] == [3] * 4
 
     def test_jsonl_round_trip_reaggregates(self):
         result = run_experiment(self.SWEEP)
@@ -163,9 +169,7 @@ class TestExperimentResult:
         """Edited/mixed streams must read as incomplete, not crash aggregation."""
         from repro.fault.runner import _canonical_json
 
-        campaign = ExperimentSpec.from_campaign(
-            CampaignSpec(campaign="abft_error_coverage", n_trials=2, seed=7, params={})
-        )
+        campaign = ExperimentSpec(campaign="abft_error_coverage", n_trials=2, seed=7)
         text = "\n".join(
             [
                 _canonical_json({"experiment": campaign.to_dict(), "executor": "serial"}),
@@ -186,7 +190,7 @@ class TestExperimentResult:
             result.merge(other)
 
     def test_single_point_result_property(self):
-        campaign = run_experiment(ExperimentSpec.from_campaign(SPEC))
+        campaign = run_experiment(SPEC)
         assert isinstance(campaign.result, CampaignResult)
         sweep = run_experiment(self.SWEEP)
         with pytest.raises(ValueError, match="grid"):
@@ -207,11 +211,6 @@ class TestExperimentResult:
         sweep = run_experiment(self.SWEEP)
         summaries = sweep.summary()
         assert summaries[(1e-8, "tensor")]["n_trials"] == 3
-
-    def test_sweep_result_bridge(self):
-        bridge = run_experiment(self.SWEEP).to_sweep_result()
-        assert bridge.sweep.axes == ["bit_error_rate", "scheme"]
-        assert len(bridge.entries) == 4
 
 
 class TestRecordSummary:

@@ -1,4 +1,4 @@
-"""Tests for the unified ExperimentSpec: auto-detection, round-trips, bridges."""
+"""Tests for the unified ExperimentSpec: auto-detection, round-trips, expansion."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import json
 import pytest
 
 from repro.exec.spec import ExperimentSpec, load_spec
-from repro.fault.runner import CampaignSpec
-from repro.fault.sweep import SweepSpec
 
 CAMPAIGN_DICT = {
     "campaign": "abft_error_coverage",
@@ -85,6 +83,12 @@ class TestRoundTrip:
         data["grid"]["scheme"].append("mutated")
         assert spec.grid["scheme"] == ["tensor", "element"]
 
+    def test_from_dict_does_not_alias_nested_params(self):
+        data = {"campaign": "c", "n_trials": 1, "params": {"thresholds": [0.1]}}
+        spec = ExperimentSpec.from_dict(data)
+        data["params"]["thresholds"].append(0.5)
+        assert spec.params == {"thresholds": [0.1]}
+
 
 class TestValidation:
     def test_empty_campaign_rejected(self):
@@ -103,20 +107,52 @@ class TestValidation:
         with pytest.raises(ValueError, match="axis"):
             ExperimentSpec(campaign="x", n_trials=1, grid={"a": []})
 
+    def test_label_defaults_to_campaign(self):
+        assert ExperimentSpec(campaign="c", n_trials=1).label == "c"
+        assert ExperimentSpec(campaign="c", n_trials=1, name="x").label == "x"
+
 
 class TestExpansion:
     def test_campaign_expands_to_itself(self):
         spec = ExperimentSpec.from_dict(CAMPAIGN_DICT)
         [(point, campaign)] = spec.expanded()
         assert point == {}
-        assert campaign == CampaignSpec.from_dict(CAMPAIGN_DICT)
+        assert campaign == spec
+        assert campaign.to_dict() == CAMPAIGN_DICT
 
-    def test_sweep_expansion_matches_legacy_sweep_spec(self):
-        experiment = ExperimentSpec.from_dict(SWEEP_DICT)
-        legacy = SweepSpec.from_dict(SWEEP_DICT)
-        assert [s.to_json() for s in experiment.expand()] == [
-            s.to_json() for s in legacy.expand()
+    def test_sweep_expansion_bytes_are_pinned(self):
+        # The point specs are the checkpoint headers of every results file
+        # ever written, so their bytes must never move.
+        assert [s.to_json() for s in ExperimentSpec.from_dict(SWEEP_DICT).expand()] == [
+            '{"campaign":"abft_error_coverage","n_trials":4,'
+            f'"name":"one-sweep/bit_error_rate={ber},scheme={scheme}",'
+            f'"params":{{"bit_error_rate":{ber},"rows":64,"scheme":"{scheme}"}},"seed":13}}'
+            for ber in ("1e-09", "1e-08")
+            for scheme in ("tensor", "element")
         ]
+
+    def test_point_specs_fold_faultload_and_drop_policy_fields(self):
+        spec = ExperimentSpec(
+            campaign="transformer_inference",
+            n_trials=16,
+            seed=7,
+            params={"scheme": "efta_unified"},
+            name="x",
+            faultload="fl.jsonl",
+            adaptive={"target_ci": 0.45, "batch": 4},
+            store="sqlite",
+        )
+        [point] = spec.expand()
+        assert point.to_json() == (
+            '{"campaign":"transformer_inference","n_trials":16,"name":"x",'
+            '"params":{"faultload":"fl.jsonl","scheme":"efta_unified"},"seed":7}'
+        )
+
+    def test_explicit_params_faultload_wins(self):
+        spec = ExperimentSpec(
+            campaign="x", n_trials=1, params={"faultload": "a.jsonl"}, faultload="b.jsonl"
+        )
+        assert spec.expand()[0].params == {"faultload": "a.jsonl"}
 
     def test_grid_axis_overrides_base_param(self):
         spec = ExperimentSpec(
@@ -125,31 +161,12 @@ class TestExpansion:
         assert [s.params["scheme"] for s in spec.expand()] == ["none"]
 
 
-class TestBridges:
-    def test_campaign_spec_round_trip(self):
-        campaign = CampaignSpec.from_dict(CAMPAIGN_DICT)
-        assert ExperimentSpec.from_campaign(campaign).as_campaign() == campaign
-
-    def test_sweep_spec_round_trip(self):
-        sweep = SweepSpec.from_dict(SWEEP_DICT)
-        assert ExperimentSpec.from_sweep(sweep).as_sweep() == sweep
-
-    def test_sweep_spec_to_experiment(self):
-        sweep = SweepSpec.from_dict(SWEEP_DICT)
-        assert sweep.to_experiment() == ExperimentSpec.from_dict(SWEEP_DICT)
-
-    def test_as_campaign_refuses_grid(self):
-        with pytest.raises(ValueError, match="grid"):
-            ExperimentSpec.from_dict(SWEEP_DICT).as_campaign()
-
+class TestCoercion:
     def test_from_any_coercions(self):
         experiment = ExperimentSpec.from_dict(SWEEP_DICT)
         assert ExperimentSpec.from_any(experiment) is experiment
         assert ExperimentSpec.from_any(SWEEP_DICT) == experiment
         assert ExperimentSpec.from_any(json.dumps(SWEEP_DICT)) == experiment
-        assert ExperimentSpec.from_any(SweepSpec.from_dict(SWEEP_DICT)) == experiment
-        campaign = CampaignSpec.from_dict(CAMPAIGN_DICT)
-        assert ExperimentSpec.from_any(campaign) == ExperimentSpec.from_campaign(campaign)
 
     def test_from_any_rejects_other_types(self):
         with pytest.raises(TypeError):

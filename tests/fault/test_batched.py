@@ -159,7 +159,7 @@ class TestByteParityAllCampaigns:
         batched = _run_bytes(monkeypatch, tmp_path, "transformer_inference", 8, 8, params)
         assert batched == scalar
 
-    @pytest.mark.parametrize("executor", ["process", "async"])
+    @pytest.mark.parametrize("executor", ["process"])
     @pytest.mark.parametrize(
         "params",
         [

@@ -3,52 +3,55 @@
 import numpy as np
 import pytest
 
-from repro.fault.campaign import (
-    abft_detection_sweep,
-    abft_error_coverage,
-    restriction_error_distribution,
-    snvr_detection_sweep,
-)
+from repro.exec import ExperimentSpec, run_experiment
+
+
+def run(campaign: str, n_trials: int, seed: int = 0, n_workers: int = 1, **params):
+    """Run one registered campaign (serial, or the process pool when
+    ``n_workers > 1``) and return its aggregate."""
+    spec = ExperimentSpec(campaign=campaign, n_trials=n_trials, seed=seed, params=params)
+    executor = "serial" if n_workers == 1 else "process"
+    return run_experiment(spec, executor=executor, n_workers=n_workers).result
 
 
 class TestABFTErrorCoverage:
     def test_tensor_checksum_covers_more_than_element(self):
         # Figure 12 (left): the 8-wide strided checksum corrects far more
         # fault events than the traditional single-column checksum.
-        tensor = abft_error_coverage(1e-7, n_trials=15, scheme="tensor", seed=1)
-        element = abft_error_coverage(1e-7, n_trials=15, scheme="element", seed=1)
+        tensor = run("abft_error_coverage", 15, seed=1, bit_error_rate=1e-7, scheme="tensor")
+        element = run("abft_error_coverage", 15, seed=1, bit_error_rate=1e-7, scheme="element")
         assert tensor.coverage > element.coverage + 0.2
         assert tensor.coverage > 0.5
 
     def test_coverage_defined_even_at_tiny_rate(self):
-        result = abft_error_coverage(1e-9, n_trials=5, scheme="tensor", seed=2)
+        result = run("abft_error_coverage", 5, seed=2, bit_error_rate=1e-9, scheme="tensor")
         assert 0.0 <= result.coverage <= 1.0
         assert all(o.injected >= 1 for o in result.outcomes)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            abft_error_coverage(1e-7, scheme="bogus")
+            run("abft_error_coverage", 50, bit_error_rate=1e-7, scheme="bogus")
 
     def test_trial_count_respected(self):
-        result = abft_error_coverage(1e-7, n_trials=7, scheme="element", seed=3)
+        result = run("abft_error_coverage", 7, seed=3, bit_error_rate=1e-7, scheme="element")
         assert result.n_trials == 7
 
 
 class TestDetectionSweeps:
     def test_abft_detection_monotonically_nonincreasing(self):
         thresholds = [0.01, 0.1, 0.3, 0.6, 1.0]
-        points = abft_detection_sweep(thresholds, n_trials=20, seed=0)
+        points = run("abft_detection_sweep", 20, seed=0, thresholds=thresholds)
         rates = [p.detection_rate for p in points]
         assert all(a >= b - 1e-9 for a, b in zip(rates, rates[1:]))
 
     def test_abft_false_alarm_monotonically_nonincreasing(self):
         thresholds = [0.01, 0.1, 0.3, 0.6, 1.0]
-        points = abft_detection_sweep(thresholds, n_trials=20, seed=0)
+        points = run("abft_detection_sweep", 20, seed=0, thresholds=thresholds)
         fas = [p.false_alarm_rate for p in points]
         assert all(a >= b - 1e-9 for a, b in zip(fas, fas[1:]))
 
     def test_abft_extremes(self):
-        points = abft_detection_sweep([1e-6, 10.0], n_trials=10, seed=1)
+        points = run("abft_detection_sweep", 10, seed=1, thresholds=[1e-6, 10.0])
         assert points[0].detection_rate == 1.0
         assert points[0].false_alarm_rate == 1.0
         assert points[-1].false_alarm_rate == 0.0
@@ -56,13 +59,13 @@ class TestDetectionSweeps:
     def test_abft_good_threshold_separates(self):
         # At the paper's operating point (0.48 on the A100) the detection
         # rate stays high while false alarms mostly vanish.
-        (point,) = abft_detection_sweep([0.48], n_trials=30, seed=2)
+        (point,) = run("abft_detection_sweep", 30, seed=2, thresholds=[0.48])
         assert point.detection_rate > 0.6
         assert point.false_alarm_rate < 0.3
 
     def test_snvr_sweep_shapes(self):
         thresholds = [1e-4, 1e-2, 0.5]
-        points = snvr_detection_sweep(thresholds, n_trials=15, seed=3)
+        points = run("snvr_detection_sweep", 15, seed=3, thresholds=thresholds)
         assert [p.threshold for p in points] == thresholds
         rates = [p.detection_rate for p in points]
         fas = [p.false_alarm_rate for p in points]
@@ -70,7 +73,7 @@ class TestDetectionSweeps:
         assert all(a >= b - 1e-9 for a, b in zip(fas, fas[1:]))
 
     def test_snvr_operating_point(self):
-        (point,) = snvr_detection_sweep([5e-3], n_trials=25, seed=4)
+        (point,) = run("snvr_detection_sweep", 25, seed=4, thresholds=[5e-3])
         assert point.detection_rate > 0.7
         assert point.false_alarm_rate < 0.2
 
@@ -79,21 +82,21 @@ class TestRestrictionDistribution:
     def test_selective_tighter_than_traditional(self):
         # Figure 14 (right): SNVR concentrates the residual error near zero,
         # the traditional clamp leaves it widely spread.
-        sel = restriction_error_distribution("selective", n_trials=60, seed=5)
-        trad = restriction_error_distribution("traditional", n_trials=60, seed=5)
+        sel = run("restriction_error_distribution", 60, seed=5, method="selective")
+        trad = run("restriction_error_distribution", 60, seed=5, method="traditional")
         assert sel.mean_output_error < trad.mean_output_error
 
     def test_selective_majority_small_errors(self):
-        sel = restriction_error_distribution("selective", n_trials=60, seed=6)
+        sel = run("restriction_error_distribution", 60, seed=6, method="selective")
         small = np.mean([o.output_rel_error < 0.05 for o in sel.outcomes])
         assert small > 0.5
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            restriction_error_distribution("bogus")
+            run("restriction_error_distribution", 100, method="bogus")
 
     def test_distribution_histogram(self):
-        sel = restriction_error_distribution("selective", n_trials=30, seed=7)
+        sel = run("restriction_error_distribution", 30, seed=7, method="selective")
         edges, fractions = sel.error_distribution(bins=10, upper=0.2)
         assert np.isclose(fractions.sum(), 1.0)
 
@@ -102,9 +105,7 @@ class TestTransformerInferenceCampaign:
     """The registered transformer-level kernel (model x scheme x BER x site)."""
 
     @staticmethod
-    def _spec(**params):
-        from repro.fault.runner import CampaignSpec
-
+    def _run(n_workers: int = 1, **params):
         defaults = {
             "scheme": "efta_unified",
             "site": "gemm_qk",
@@ -114,9 +115,7 @@ class TestTransformerInferenceCampaign:
             "seq_len": 16,
         }
         defaults.update(params)
-        return CampaignSpec(
-            campaign="transformer_inference", n_trials=6, seed=3, params=defaults
-        )
+        return run("transformer_inference", 6, seed=3, n_workers=n_workers, **defaults)
 
     def test_registered(self):
         from repro.fault.runner import available_campaigns
@@ -124,49 +123,34 @@ class TestTransformerInferenceCampaign:
         assert "transformer_inference" in available_campaigns()
 
     def test_protected_scheme_detects_and_corrects(self):
-        from repro.fault.runner import run_campaign
-
-        result = run_campaign(self._spec())
+        result = self._run()
         assert result.n_trials == 6
         assert result.detection_rate == 1.0
         assert result.coverage > 0.8
         assert result.mean_output_error < 0.01
 
     def test_unprotected_scheme_shows_silent_corruption(self):
-        from repro.fault.runner import run_campaign
-
-        protected = run_campaign(self._spec())
-        unprotected = run_campaign(self._spec(scheme="none"))
+        protected = self._run()
+        unprotected = self._run(scheme="none")
         assert unprotected.detection_rate == 0.0
         assert unprotected.mean_output_error > protected.mean_output_error
 
     def test_deterministic_across_worker_counts(self):
-        from repro.fault.runner import CampaignRunner
-
-        spec = self._spec(scheme="decoupled")
-        serial = CampaignRunner(spec, n_workers=1).run()
-        sharded = CampaignRunner(spec, n_workers=3).run()
+        serial = self._run(scheme="decoupled")
+        sharded = self._run(n_workers=3, scheme="decoupled")
         assert serial.outcomes == sharded.outcomes
 
     def test_ber_mode_draws_poisson_fault_counts(self):
-        from repro.fault.runner import run_campaign
-
-        result = run_campaign(
-            self._spec(bit_error_rate=2e-8, site=["gemm_qk", "linear"])
-        )
+        result = self._run(bit_error_rate=2e-8, site=["gemm_qk", "linear"])
         counts = [o.injected for o in result.outcomes]
         assert any(c == 0 for c in counts) or any(c > 1 for c in counts)
 
     def test_site_never_executed_is_rejected(self):
-        from repro.fault.runner import run_campaign
-
         with pytest.raises(ValueError, match="never execute"):
-            run_campaign(self._spec(scheme="decoupled", site="subtract_exp"))
+            self._run(scheme="decoupled", site="subtract_exp")
 
     def test_model_zoo_names_accepted(self):
-        from repro.fault.runner import run_campaign
-
-        result = run_campaign(self._spec(model="T5-Small"))
+        result = self._run(model="T5-Small")
         assert result.n_trials == 6
 
 
@@ -174,10 +158,7 @@ class TestSiteResilienceDefaults:
     """Per-site bits/dtype defaults must not change legacy spec semantics."""
 
     def _run(self, params):
-        from repro.fault.runner import CampaignSpec, run_campaign
-
-        spec = CampaignSpec(campaign="efta_site_resilience", n_trials=6, seed=1, params=params)
-        return run_campaign(spec)
+        return run("efta_site_resilience", 6, seed=1, **params)
 
     def test_explicit_bits_keep_legacy_fp16_default(self):
         # Pre-redesign specs pinned fp16-range bits without a dtype; they must

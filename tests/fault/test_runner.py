@@ -1,4 +1,4 @@
-"""Tests for the declarative campaign runner: determinism, resume, CLI."""
+"""Tests for the trial-kernel registry and single-campaign runs: determinism, resume."""
 
 from __future__ import annotations
 
@@ -6,16 +6,10 @@ import json
 
 import pytest
 
+from repro.exec import ExperimentRunner, ExperimentSpec, run_experiment
+from repro.exec.checkpoint import TrialCheckpoint
 from repro.fault.metrics import CampaignResult
-from repro.fault.runner import (
-    CampaignRunner,
-    CampaignSpec,
-    available_campaigns,
-    get_campaign,
-    main,
-    register_campaign,
-    run_campaign,
-)
+from repro.fault.runner import available_campaigns, get_campaign, register_campaign
 
 
 @pytest.fixture(autouse=True)
@@ -32,59 +26,28 @@ def _registry_snapshot():
     runner_module._REGISTRY.update(saved)
 
 
-SPEC = CampaignSpec(
+def run(spec: ExperimentSpec, n_workers: int = 1, results_path=None):
+    """Run one campaign on the serial backend, or the process pool when
+    ``n_workers > 1``, and return its aggregate."""
+    executor = "serial" if n_workers == 1 else "process"
+    return run_experiment(
+        spec, executor=executor, n_workers=n_workers, results_path=results_path
+    ).result
+
+
+SPEC = ExperimentSpec(
     campaign="abft_error_coverage",
     n_trials=10,
     seed=7,
     params={"bit_error_rate": 1e-7, "scheme": "tensor", "rows": 64, "cols": 64},
 )
 
-SWEEP_SPEC = CampaignSpec(
+SWEEP_SPEC = ExperimentSpec(
     campaign="abft_detection_sweep",
     n_trials=8,
     seed=3,
     params={"thresholds": [0.01, 0.3, 1.0], "rows": 32, "cols": 32, "depth": 32},
 )
-
-
-class TestSpec:
-    def test_dict_round_trip(self):
-        assert CampaignSpec.from_dict(SPEC.to_dict()) == SPEC
-
-    def test_json_round_trip(self):
-        assert CampaignSpec.from_json(SPEC.to_json()) == SPEC
-
-    def test_unknown_field_rejected(self):
-        data = SPEC.to_dict()
-        data["bogus"] = 1
-        with pytest.raises(ValueError, match="bogus"):
-            CampaignSpec.from_dict(data)
-
-    def test_invalid_trials_rejected(self):
-        with pytest.raises(ValueError):
-            CampaignSpec(campaign="abft_error_coverage", n_trials=0)
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            CampaignSpec(campaign="", n_trials=1)
-
-    def test_label_defaults_to_campaign(self):
-        assert SPEC.label == "abft_error_coverage"
-        named = CampaignSpec(campaign="abft_error_coverage", n_trials=1, name="x")
-        assert named.label == "x"
-
-    def test_trial_seeds_match_spawn_count(self):
-        assert len(SPEC.trial_seeds()) == SPEC.n_trials
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed"):
-            CampaignSpec(campaign="c", n_trials=1, seed=-1)
-
-    def test_from_dict_does_not_alias_nested_params(self):
-        data = {"campaign": "c", "n_trials": 1, "params": {"thresholds": [0.1]}}
-        spec = CampaignSpec.from_dict(data)
-        data["params"]["thresholds"].append(0.5)
-        assert spec.params == {"thresholds": [0.1]}
 
 
 class TestRegistry:
@@ -111,10 +74,10 @@ class TestRegistry:
                 return {}
 
     def test_sweep_without_thresholds_fails_fast(self):
-        spec = CampaignSpec(campaign="abft_detection_sweep", n_trials=500, seed=0, params={})
+        spec = ExperimentSpec(campaign="abft_detection_sweep", n_trials=500, seed=0, params={})
         with pytest.raises(ValueError, match="thresholds"):
             # Must raise on trial 0, not after 500 trials in the aggregator.
-            run_campaign(spec)
+            run(spec)
 
     def test_trial_params_isolated_between_trials(self):
         @register_campaign("test_runner_param_mutator")
@@ -124,13 +87,13 @@ class TestRegistry:
             params["queue"].pop()
             return {"injected": 1, "detected": len(params["queue"])}
 
-        spec = CampaignSpec(
+        spec = ExperimentSpec(
             campaign="test_runner_param_mutator",
             n_trials=6,
             seed=0,
             params={"queue": [1, 2, 3]},
         )
-        result = run_campaign(spec)
+        result = run(spec)
         assert [o.detected for o in result.outcomes] == [2] * 6
 
     def test_custom_campaign_runs_in_process(self):
@@ -138,40 +101,40 @@ class TestRegistry:
         def _counter(rng, params):
             return {"injected": 1, "detected": 1, "corrected": int(rng.integers(2))}
 
-        spec = CampaignSpec(campaign="test_runner_custom_counter", n_trials=6, seed=0)
-        result = run_campaign(spec)
+        spec = ExperimentSpec(campaign="test_runner_custom_counter", n_trials=6, seed=0)
+        result = run(spec)
         assert isinstance(result, CampaignResult)
         assert result.n_trials == 6
 
 
 class TestDeterminism:
     def test_worker_count_does_not_change_result(self):
-        serial = run_campaign(SPEC, n_workers=1)
-        sharded = run_campaign(SPEC, n_workers=4)
+        serial = run(SPEC, n_workers=1)
+        sharded = run(SPEC, n_workers=4)
         assert serial.outcomes == sharded.outcomes
 
     def test_sweep_identical_across_workers(self):
-        serial = run_campaign(SWEEP_SPEC, n_workers=1)
-        sharded = run_campaign(SWEEP_SPEC, n_workers=3)
+        serial = run(SWEEP_SPEC, n_workers=1)
+        sharded = run(SWEEP_SPEC, n_workers=3)
         assert serial == sharded
 
     def test_results_file_bytes_identical_across_workers(self, tmp_path):
         one = tmp_path / "w1.jsonl"
         four = tmp_path / "w4.jsonl"
-        run_campaign(SPEC, n_workers=1, results_path=one)
-        run_campaign(SPEC, n_workers=4, results_path=four)
+        run(SPEC, n_workers=1, results_path=one)
+        run(SPEC, n_workers=4, results_path=four)
         assert one.read_bytes() == four.read_bytes()
 
     def test_different_seeds_differ(self):
-        other = CampaignSpec.from_dict({**SPEC.to_dict(), "seed": 8})
-        assert run_campaign(SPEC).outcomes != run_campaign(other).outcomes
+        other = ExperimentSpec.from_dict({**SPEC.to_dict(), "seed": 8})
+        assert run(SPEC).outcomes != run(other).outcomes
 
 
 class TestResume:
     def test_interrupted_run_resumes_to_same_result(self, tmp_path):
         # Uninterrupted reference run.
         full_path = tmp_path / "full.jsonl"
-        reference = run_campaign(SPEC, n_workers=1, results_path=full_path)
+        reference = run(SPEC, n_workers=1, results_path=full_path)
 
         # Simulate a run killed mid-campaign: keep the header and the first
         # four finished trials, truncate the rest (plus a torn partial line).
@@ -179,42 +142,42 @@ class TestResume:
         lines = full_path.read_text().splitlines()
         partial_path.write_text("\n".join(lines[:5]) + '\n{"trial": 9, "rec')
 
-        resumed = run_campaign(SPEC, n_workers=2, results_path=partial_path)
+        resumed = run(SPEC, n_workers=2, results_path=partial_path)
         assert resumed.outcomes == reference.outcomes
         assert partial_path.read_bytes() == full_path.read_bytes()
 
     def test_completed_run_is_not_recomputed(self, tmp_path):
         path = tmp_path / "done.jsonl"
-        reference = run_campaign(SPEC, results_path=path)
+        reference = run(SPEC, results_path=path)
         before = path.read_bytes()
-        again = run_campaign(SPEC, results_path=path)
+        again = run(SPEC, results_path=path)
         assert again.outcomes == reference.outcomes
         assert path.read_bytes() == before
 
     def test_resume_ignores_cosmetic_name_label(self, tmp_path):
         path = tmp_path / "named.jsonl"
-        reference = run_campaign(SPEC, results_path=path)
-        renamed = CampaignSpec.from_dict({**SPEC.to_dict(), "name": "relabelled"})
-        assert run_campaign(renamed, results_path=path).outcomes == reference.outcomes
+        reference = run(SPEC, results_path=path)
+        renamed = ExperimentSpec.from_dict({**SPEC.to_dict(), "name": "relabelled"})
+        assert run(renamed, results_path=path).outcomes == reference.outcomes
 
     def test_append_after_torn_final_line_stays_parseable(self, tmp_path):
         # A kill mid-write leaves no trailing newline; the next appended
         # record must start on a fresh line, not merge into the torn one.
         path = tmp_path / "torn.jsonl"
         path.write_text('{"spec": {}}\n{"trial": 0, "rec')
-        runner = CampaignRunner(SPEC, results_path=path)
-        sink = runner._open_checkpoint(header=False)
-        runner._checkpoint(sink, 1, {"ok": 1})
-        sink.close()
+        checkpoint = TrialCheckpoint(SPEC, path)
+        checkpoint.open(header=False)
+        checkpoint.append(1, {"ok": 1})
+        checkpoint.close()
         last = path.read_text().splitlines()[-1]
         assert json.loads(last) == {"trial": 1, "record": {"ok": 1}}
 
     def test_mismatched_spec_refused(self, tmp_path):
         path = tmp_path / "other.jsonl"
-        run_campaign(SPEC, results_path=path)
-        other = CampaignSpec.from_dict({**SPEC.to_dict(), "seed": 99})
+        run(SPEC, results_path=path)
+        other = ExperimentSpec.from_dict({**SPEC.to_dict(), "seed": 99})
         with pytest.raises(ValueError, match="different"):
-            run_campaign(other, results_path=path)
+            run(other, results_path=path)
 
     def test_serial_run_checkpoints_each_trial(self, tmp_path):
         calls = {"n": 0, "raised": False}
@@ -227,28 +190,28 @@ class TestResume:
             calls["n"] += 1
             return {"injected": 1, "detected": 1}
 
-        spec = CampaignSpec(campaign="test_runner_mid_crash", n_trials=10, seed=0)
+        spec = ExperimentSpec(campaign="test_runner_mid_crash", n_trials=10, seed=0)
         path = tmp_path / "crash.jsonl"
         with pytest.raises(RuntimeError):
-            run_campaign(spec, results_path=path)
+            run(spec, results_path=path)
         # A serial run must checkpoint trial-by-trial: the three finished
         # trials are on disk, and the resume only runs the remaining seven.
         assert len(path.read_text().splitlines()) == 1 + 3
-        result = run_campaign(spec, results_path=path)
+        result = run(spec, results_path=path)
         assert result.n_trials == 10
         assert calls["n"] == 10
 
     def test_sweep_checkpoint_stays_valid_json(self, tmp_path):
         # Seed 42 drives one faulty residual non-finite; the record must
         # still be RFC-compliant JSON (no NaN/Infinity constants).
-        spec = CampaignSpec(
+        spec = ExperimentSpec(
             campaign="abft_detection_sweep",
             n_trials=25,
             seed=42,
             params={"thresholds": [0.01]},
         )
         path = tmp_path / "sweep.jsonl"
-        run_campaign(spec, results_path=path)
+        run(spec, results_path=path)
 
         def reject_constant(value):
             raise AssertionError(f"non-RFC JSON constant {value!r} in checkpoint")
@@ -258,16 +221,16 @@ class TestResume:
 
     def test_canonical_rewrite_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        run_campaign(SPEC, results_path=path)
-        run_campaign(SPEC, results_path=path)  # resume of a complete run
+        run(SPEC, results_path=path)
+        run(SPEC, results_path=path)  # resume of a complete run
         assert list(tmp_path.iterdir()) == [path]
 
     def test_checkpoint_lines_are_valid_json(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        run_campaign(SPEC, results_path=path)
+        run(SPEC, results_path=path)
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
-        assert CampaignSpec.from_dict(header["spec"]) == SPEC
+        assert ExperimentSpec.from_dict(header["spec"]) == SPEC
         trials = [json.loads(line) for line in lines[1:]]
         assert [t["trial"] for t in trials] == list(range(SPEC.n_trials))
 
@@ -275,30 +238,4 @@ class TestResume:
 class TestRunnerValidation:
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError):
-            CampaignRunner(SPEC, n_workers=0)
-
-
-class TestCLI:
-    def test_runs_spec_file_and_reports(self, tmp_path, capsys):
-        spec_file = tmp_path / "spec.json"
-        spec_file.write_text(SPEC.to_json())
-        results = tmp_path / "out.jsonl"
-        assert main([str(spec_file), "--workers", "2", "--results", str(results)]) == 0
-        out = capsys.readouterr().out
-        assert "campaign: abft_error_coverage (10 trials)" in out
-        assert "detection rate" in out
-        assert results.exists()
-
-    def test_sweep_report(self, tmp_path, capsys):
-        spec_file = tmp_path / "sweep.json"
-        spec_file.write_text(SWEEP_SPEC.to_json())
-        assert main([str(spec_file)]) == 0
-        out = capsys.readouterr().out
-        assert "fault detection rate" in out
-        assert "false alarm rate" in out
-
-    def test_list_campaigns(self, capsys):
-        assert main(["--list-campaigns"]) == 0
-        out = capsys.readouterr().out
-        assert "abft_error_coverage" in out
-        assert "snvr_detection_sweep" in out
+            ExperimentRunner(SPEC, executor="process", n_workers=0)

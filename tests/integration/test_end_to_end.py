@@ -1,5 +1,11 @@
 """Integration tests crossing module boundaries: model + faults + campaigns + cost model."""
 
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +31,31 @@ class TestPublicAPI:
 
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    @pytest.mark.parametrize("package", ["repro.fault", "repro.exec", "repro.store"])
+    def test_subpackage_exports(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert hasattr(module, name), f"{package}.{name}"
+
+    @pytest.mark.parametrize(
+        "package, deferred",
+        [
+            ("repro", ["repro.exec", "repro.store"]),
+            ("repro.fault", ["repro.fault.runner", "repro.fault.dictionary"]),
+        ],
+    )
+    def test_lazy_exports_defer_their_modules(self, package, deferred):
+        """PEP 562 exports keep the import cheap: the engine, stores, kernel
+        registry and fault dictionary load on first use."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        code = f"import sys, {package}; print([m for m in {deferred!r} if m in sys.modules])"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_version_string(self):
         import repro

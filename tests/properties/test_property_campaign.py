@@ -1,13 +1,13 @@
-"""Property-based tests of the campaign spec and seed derivation (hypothesis)."""
+"""Property-based tests of point specs and per-trial seed derivation (hypothesis)."""
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.fault.runner import CampaignSpec
+from repro.exec.spec import ExperimentSpec
+from repro.fault.runner import _run_trial_batch, register_campaign
 
 SETTINGS = dict(max_examples=50, deadline=None)
 
@@ -26,8 +26,9 @@ campaign_names = st.text(
     max_size=30,
 )
 
+#: Gridless specs: the point-spec form every checkpoint header holds.
 specs = st.builds(
-    CampaignSpec,
+    ExperimentSpec,
     campaign=campaign_names,
     n_trials=st.integers(min_value=1, max_value=10_000),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -40,12 +41,12 @@ class TestSpecRoundTrip:
     @given(spec=specs)
     @settings(**SETTINGS)
     def test_dict_round_trip_lossless(self, spec):
-        assert CampaignSpec.from_dict(spec.to_dict()) == spec
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
     @given(spec=specs)
     @settings(**SETTINGS)
     def test_json_round_trip_lossless(self, spec):
-        assert CampaignSpec.from_json(spec.to_json()) == spec
+        assert ExperimentSpec.from_json(spec.to_json()) == spec
 
     @given(spec=specs)
     @settings(**SETTINGS)
@@ -55,15 +56,26 @@ class TestSpecRoundTrip:
         exported = spec.to_dict()
         exported["params"]["__injected__"] = 1
         exported["seed"] = -1
-        assert CampaignSpec.from_dict(spec.to_dict()) == spec
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
     @given(spec=specs)
     @settings(**SETTINGS)
     def test_json_form_is_canonical(self, spec):
         # Key order is normalised, so equal specs serialise to equal bytes.
-        clone = CampaignSpec.from_json(spec.to_json())
+        clone = ExperimentSpec.from_json(spec.to_json())
         assert clone.to_json() == spec.to_json()
         assert json.loads(spec.to_json())["campaign"] == spec.campaign
+
+
+@register_campaign("test_property_seed_draw")
+def _seed_draw_trial(rng, params):
+    return {"draw": int(rng.integers(2**63))}
+
+
+def draws(seed: int, indices) -> list[int]:
+    """The runner's per-trial draws of ``indices`` under root ``seed``."""
+    spec = {"campaign": "test_property_seed_draw", "seed": seed, "params": {}}
+    return [record["draw"] for _, record in _run_trial_batch(spec, list(indices))]
 
 
 class TestSeedDerivation:
@@ -73,9 +85,7 @@ class TestSeedDerivation:
     )
     @settings(**SETTINGS)
     def test_trial_seeds_unique_within_campaign(self, seed, n_trials):
-        spec = CampaignSpec(campaign="c", n_trials=n_trials, seed=seed)
-        states = {tuple(s.generate_state(4)) for s in spec.trial_seeds()}
-        assert len(states) == n_trials
+        assert len(set(draws(seed, range(n_trials)))) == n_trials
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -83,21 +93,17 @@ class TestSeedDerivation:
     )
     @settings(**SETTINGS)
     def test_trial_seeds_stable_across_calls(self, seed, n_trials):
-        spec = CampaignSpec(campaign="c", n_trials=n_trials, seed=seed)
-        first = [tuple(s.generate_state(4)) for s in spec.trial_seeds()]
-        second = [tuple(s.generate_state(4)) for s in spec.trial_seeds()]
-        assert first == second
+        assert draws(seed, range(n_trials)) == draws(seed, range(n_trials))
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_prefix_stability_under_trial_count_growth(self, seed):
-        # Growing a campaign keeps the seeds of already-run trials unchanged,
-        # which is what makes resume-with-extended-spec sound in principle.
-        short = CampaignSpec(campaign="c", n_trials=5, seed=seed).trial_seeds()
-        long = CampaignSpec(campaign="c", n_trials=9, seed=seed).trial_seeds()
-        assert [tuple(s.generate_state(4)) for s in short] == [
-            tuple(s.generate_state(4)) for s in long[:5]
-        ]
+        # Growing a campaign keeps the streams of already-run trials
+        # unchanged, and a batch derives only up to its largest index: what
+        # makes resume-with-extended-spec and any sharding sound.
+        long = draws(seed, range(9))
+        assert draws(seed, range(5)) == long[:5]
+        assert draws(seed, [7, 3]) == [long[7], long[3]]
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -105,7 +111,6 @@ class TestSeedDerivation:
     )
     @settings(max_examples=25, deadline=None)
     def test_derived_generators_reproducible(self, seed, n_trials):
-        spec = CampaignSpec(campaign="c", n_trials=n_trials, seed=seed)
-        draws_a = [np.random.default_rng(s).integers(2**63) for s in spec.trial_seeds()]
-        draws_b = [np.random.default_rng(s).integers(2**63) for s in spec.trial_seeds()]
-        assert draws_a == draws_b
+        first = draws(seed, range(n_trials))
+        assert draws(seed, range(n_trials)) == first
+        assert draws(seed + 1, range(n_trials)) != first

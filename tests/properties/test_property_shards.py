@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exec.results import TrialRecordSet
-from repro.fault.runner import CampaignSpec
+from repro.exec.spec import ExperimentSpec
 
 SETTINGS = dict(max_examples=60, deadline=None)
 
 
-def _spec(n_trials: int) -> CampaignSpec:
-    return CampaignSpec(
+def _spec(n_trials: int) -> ExperimentSpec:
+    return ExperimentSpec(
         campaign="shard_property", n_trials=n_trials, seed=3, params={"k": 1}
     )
 
@@ -110,7 +110,7 @@ class TestMerge:
     @settings(**SETTINGS)
     def test_foreign_spec_refused(self, n_trials):
         mine = TrialRecordSet(spec=_spec(n_trials))
-        other_spec = CampaignSpec(
+        other_spec = ExperimentSpec(
             campaign="shard_property", n_trials=n_trials, seed=4, params={"k": 1}
         )
         with pytest.raises(ValueError, match="specs differ"):

@@ -67,11 +67,14 @@ class TestMultiHeadAttention:
         np.testing.assert_allclose(out, expected, rtol=2e-2, atol=2e-2)
 
     def test_protected_and_unprotected_agree(self, rng):
-        mha = MultiHeadAttention(hidden_dim=16, num_heads=2, seq_len=16, rng=rng, attention_block_size=8)
+        def build(scheme):
+            return MultiHeadAttention(
+                hidden_dim=16, num_heads=2, seq_len=16, rng=np.random.default_rng(7),
+                attention_block_size=8, scheme=scheme,
+            )
+
         x = rng.standard_normal((1, 16, 16)).astype(np.float32)
-        with pytest.warns(DeprecationWarning):
-            unprotected = mha(x, protected=False)
-        np.testing.assert_allclose(mha(x), unprotected, rtol=2e-2, atol=2e-2)
+        np.testing.assert_allclose(build("efta_unified")(x), build("none")(x), rtol=2e-2, atol=2e-2)
 
     def test_report_aggregates_attention_events(self, rng):
         mha = MultiHeadAttention(hidden_dim=16, num_heads=2, seq_len=16, rng=rng, attention_block_size=8)

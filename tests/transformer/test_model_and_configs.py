@@ -16,7 +16,8 @@ from repro.transformer.configs import (
     model_zoo,
 )
 from repro.transformer.costing import TransformerCostModel
-from repro.transformer.model import TransformerModel
+from repro.transformer.mha import MultiHeadAttention
+from repro.transformer.model import TransformerBlock, TransformerModel
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +81,11 @@ class TestTransformerModel:
         assert out.report.clean
 
     def test_protected_close_to_unprotected(self, tiny_model, tiny_ids):
-        _, model = tiny_model
+        cfg, model = tiny_model
         protected = model(tiny_ids)
-        with pytest.warns(DeprecationWarning):
-            unprotected = model(tiny_ids, protected=False)
+        unprotected = TransformerModel(cfg, seed=0, attention_block_size=16, scheme="none")(
+            tiny_ids
+        )
         np.testing.assert_allclose(
             protected.logits, unprotected.logits, rtol=5e-2, atol=5e-2
         )
@@ -182,23 +184,56 @@ class TestSchemeSelection:
         with pytest.raises(ValueError, match="unknown protection scheme"):
             TransformerModel(cfg, scheme="bogus", attention_block_size=8)
 
-    def test_deprecated_unified_verification_maps_to_scheme(self, prompt):
-        cfg, ids = prompt
-        with pytest.warns(DeprecationWarning):
-            legacy = TransformerModel(
-                cfg, seed=5, attention_block_size=8, unified_verification=False
-            )
-        assert legacy.scheme_name == "efta"
-        modern = TransformerModel(cfg, seed=5, attention_block_size=8, scheme="efta")
-        np.testing.assert_array_equal(legacy(ids).logits, modern(ids).logits)
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_scheme_rejected(self, prompt, flag):
+        """Bools once mapped to "efta_unified"/"none"; only names select now."""
+        cfg, _ = prompt
+        with pytest.raises(ValueError, match="unknown protection scheme"):
+            TransformerModel(cfg, scheme=flag, attention_block_size=8)
 
-    def test_deprecated_protected_false_matches_scheme_none(self, prompt):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda cfg: MultiHeadAttention(
+                hidden_dim=cfg.hidden_dim,
+                num_heads=cfg.num_heads,
+                seq_len=12,
+                rng=np.random.default_rng(5),
+                attention_block_size=8,
+                unified_verification=False,
+            ),
+            lambda cfg: TransformerBlock(
+                cfg, np.random.default_rng(5), 8, unified_verification=False
+            ),
+            lambda cfg: TransformerModel(
+                cfg, seed=5, attention_block_size=8, unified_verification=False
+            ),
+        ],
+        ids=["MultiHeadAttention", "TransformerBlock", "TransformerModel"],
+    )
+    def test_unified_verification_kwarg_removed(self, prompt, build):
+        """The scheme name is the only selector; "efta" is the old False."""
+        cfg, _ = prompt
+        with pytest.raises(TypeError, match="unified_verification"):
+            build(cfg)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda model, ids, hidden: model.blocks[0].attention(hidden, protected=False),
+            lambda model, ids, hidden: model.blocks[0](hidden, None, None, protected=False),
+            lambda model, ids, hidden: model.forward(ids, protected=False),
+            lambda model, ids, hidden: model.generate_token(ids, protected=False),
+        ],
+        ids=["attention", "block", "forward", "generate_token"],
+    )
+    def test_protected_call_kwarg_removed(self, prompt, call):
+        """Unprotected runs build a ``scheme="none"`` model instead."""
         cfg, ids = prompt
         model = TransformerModel(cfg, seed=5, attention_block_size=8)
-        with pytest.warns(DeprecationWarning):
-            legacy = model(ids, protected=False)
-        unprotected = TransformerModel(cfg, seed=5, attention_block_size=8, scheme="none")
-        np.testing.assert_array_equal(legacy.logits, unprotected(ids).logits)
+        hidden = np.zeros((1, ids.shape[1], cfg.hidden_dim), dtype=np.float32)
+        with pytest.raises(TypeError, match="protected"):
+            call(model, ids, hidden)
 
     def test_scheme_none_skips_all_verification(self, prompt):
         cfg, ids = prompt
