@@ -2,7 +2,7 @@
 
 Every benchmark case pins a small campaign configuration and times it twice
 through the real execution engine (``repro.exec``): once with
-``REPRO_TRIAL_BATCH=1`` (the scalar oracle path, every trial its own kernel
+``REPRO_TRIAL_BATCH=1`` (the per-trial path, every trial its own kernel
 call) and once with the requested batch size (the stacked tensor-program
 path).  The per-case trials/sec pair and their ratio land in a
 ``BENCH_<n>.json`` file, giving the repo a measured performance trajectory:
@@ -50,8 +50,12 @@ class BenchCase:
 
 
 def default_cases() -> list[BenchCase]:
-    """The full pinned suite: every fault campaign on a small fixed workload."""
-    thresholds = [0.1, 0.3, 0.5]
+    """The full pinned suite: every campaign with a batch kernel, on small fixed workloads.
+
+    Campaigns without one (the threshold sweeps, the restriction study,
+    ``efta_site_resilience``) run the same per-trial path at every batch size,
+    so timing them would only time that path twice.
+    """
     return [
         # Monte-Carlo fault campaigns run deliberately scaled-down models, so
         # the regime that matters is small tensors where per-trial Python and
@@ -96,33 +100,6 @@ def default_cases() -> list[BenchCase]:
                 "cols": 64,
                 "depth": 32,
             },
-        ),
-        BenchCase(
-            name="abft_detection_sweep",
-            campaign="abft_detection_sweep",
-            n_trials=128,
-            params={"thresholds": thresholds, "rows": 64, "cols": 64, "depth": 64},
-        ),
-        BenchCase(
-            name="snvr_detection_sweep",
-            campaign="snvr_detection_sweep",
-            n_trials=128,
-            params={"thresholds": thresholds, "rows": 64, "cols": 64, "depth": 64},
-        ),
-        BenchCase(
-            name="restriction_error_distribution/selective",
-            campaign="restriction_error_distribution",
-            n_trials=64,
-            params={"method": "selective", "seq_len": 128, "head_dim": 32, "block_size": 16},
-        ),
-        # This campaign drives the EFTA kernel directly (no transformer
-        # around it) and has no batched trial kernel; the case tracks the
-        # scalar baseline (speedup ~1.0 by construction).
-        BenchCase(
-            name="efta_site_resilience/gemm_qk",
-            campaign="efta_site_resilience",
-            n_trials=32,
-            params={"site": "gemm_qk", "seq_len": 64, "head_dim": 32, "block_size": 32},
         ),
     ]
 

@@ -11,6 +11,8 @@ Modules
 * :mod:`repro.core.snvr` -- selective neuron value restriction (Section 3.4).
 * :mod:`repro.core.decoupled` -- the three-kernel operation-level protected
   attention baseline (Section 3.1).
+* :mod:`repro.core.stacked` -- the shared kernel entry: every scheme's kernel
+  runs over a stack of trials, and ``forward`` is a stack of one.
 * :mod:`repro.core.efta` -- end-to-end fault tolerant attention, Algorithm 1.
 * :mod:`repro.core.efta_optimized` -- the unified-verification variant
   (EFTA-opt in Tables 1 and 2).

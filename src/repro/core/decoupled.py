@@ -7,6 +7,10 @@ This module reproduces the baseline functionally (including its detection and
 correction behaviour under fault injection) and exposes its simulated cost and
 memory footprint, which is where the OOM at 16 K sequence length and the
 3.69-7.56x slowdowns of Figure 9 come from.
+
+The three kernels are written once, over a leading *trial* axis
+(:meth:`DecoupledFTAttention.forward_batched`, see :mod:`repro.core.stacked`);
+:meth:`DecoupledFTAttention.forward` runs them at a trial axis of one.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import AttentionConfig, FaultToleranceReport
-from repro.core.dmr import dmr_row_softmax, dmr_row_softmax_stacked
-from repro.core.traditional_abft import protected_matmul, protected_matmul_stacked
+from repro.core.dmr import dmr_row_softmax_stacked
+from repro.core.stacked import forward_one_trial, forward_stacked
+from repro.core.traditional_abft import protected_matmul_stacked
 from repro.fault.injector import FaultInjector
 from repro.fault.models import FaultSite
 from repro.hardware.costmodel import AttentionCostModel, AttentionWorkload, CostBreakdown
@@ -48,73 +53,42 @@ class DecoupledFTAttention:
 
         Returns the attention output and a :class:`FaultToleranceReport`
         aggregating detections/corrections across all (batch, head) groups.
+        The three kernels of :meth:`forward_batched` at a trial axis of one.
         """
-        q = np.asarray(q, dtype=np.float32)
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        if q.shape[:-2] != k.shape[:-2] or q.shape[:-2] != v.shape[:-2]:
-            raise ValueError("q, k, v must share leading dimensions")
-
-        lead = q.shape[:-2]
-        q2 = q.reshape((-1,) + q.shape[-2:])
-        k2 = k.reshape((-1,) + k.shape[-2:])
-        v2 = v.reshape((-1,) + v.shape[-2:])
-        groups = q2.shape[0]
-
-        if self.track_memory:
-            tracker = HBMTracker(self.spec)
-            elem = 2  # FP16 storage of the intermediates
-            seq = q2.shape[1]
-            tracker.allocate("qkv+o", 4 * groups * seq * q2.shape[2] * elem)
-            tracker.allocate("scores", groups * seq * k2.shape[1] * elem)
-            tracker.allocate("probs", groups * seq * k2.shape[1] * elem)
-
-        report = FaultToleranceReport()
-        out = np.empty_like(q2)
-        scale = self.config.effective_scale
-        already_applied = injector.applied_count if injector is not None else 0
-        for g in range(groups):
-            out[g] = self._forward_single(q2[g], k2[g], v2[g], scale, injector, report)
-        if injector is not None:
-            report.injected.extend(injector.records[already_applied:])
-        return out.reshape(lead + q.shape[-2:]), report
+        return forward_one_trial(self.forward_batched, q, k, v, injector)
 
     __call__ = forward
 
     def forward_batched(self, q, k, v, router):
-        """Stacked-trial mirror of :meth:`forward` (no HBM tracking).
+        """Protected attention over a stack of trials (leading trial axis).
 
         The two ABFT GEMMs and both softmax executions run stacked over the
-        trial axis; checksum encodes, verification and any DMR retries stay
-        per trial on slice views, so every trial's output slice and report
-        counters are bitwise the scalar ones.  Returns ``(out, reports)``
-        with one report per trial; the reports' ``injected`` lists are left
-        empty (the caller owns the per-trial injectors).
+        trial axis; checksum encodes, verification and any DMR retries run
+        per trial on slice views.  With ``track_memory`` the O(n^2)
+        intermediates of one trial are first charged to the simulated HBM
+        (raising :class:`~repro.hardware.memory.OutOfMemoryError` when they
+        do not fit).  Returns ``(out, reports)`` with one report per trial;
+        the reports' ``injected`` lists are left empty (the caller owns the
+        per-trial injectors).
         """
-        q = np.asarray(q, dtype=np.float32)
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        if q.shape[:-2] != k.shape[:-2] or q.shape[:-2] != v.shape[:-2]:
-            raise ValueError("q, k, v must share leading dimensions")
-        n_trials = q.shape[0]
-        q2 = q.reshape((n_trials, -1) + q.shape[-2:])
-        k2 = k.reshape((n_trials, -1) + k.shape[-2:])
-        v2 = v.reshape((n_trials, -1) + v.shape[-2:])
-        reports = [FaultToleranceReport() for _ in range(n_trials)]
-        out = np.empty_like(q2)
-        scale = self.config.effective_scale
-        for g in range(q2.shape[1]):
-            out[:, g] = self._forward_single_stacked(
-                q2[:, g], k2[:, g], v2[:, g], scale, router, reports
-            )
-        return out.reshape(q.shape), reports
+        if self.track_memory:
+            q_shape, k_shape = np.shape(q), np.shape(k)
+            groups = int(np.prod(q_shape[1:-2]))
+            seq, dim = q_shape[-2:]
+            tracker = HBMTracker(self.spec)
+            elem = 2  # FP16 storage of the intermediates
+            tracker.allocate("qkv+o", 4 * groups * seq * dim * elem)
+            tracker.allocate("scores", groups * seq * k_shape[-2] * elem)
+            tracker.allocate("probs", groups * seq * k_shape[-2] * elem)
+        return forward_stacked(self._forward_group, q, k, v, router)
 
-    def _forward_single_stacked(self, q, k, v, scale, router, reports):
+    def _forward_group(self, q, k, v, router, reports):
+        # Kernel I: ABFT-protected GEMM producing the full score tensor.
         scores, verdicts_qk = protected_matmul_stacked(
             q,
             np.swapaxes(k, -1, -2),
             router,
-            scale=scale,
+            scale=self.config.effective_scale,
             site=FaultSite.GEMM_QK,
             atol=self.config.checksum_atol,
             rtol=self.config.score_checksum_rtol,
@@ -124,11 +98,13 @@ class DecoupledFTAttention:
             report.record_correction("gemm_qk", verdict.corrected)
             report.record_uncorrectable("gemm_qk", verdict.uncorrectable)
 
+        # Kernel II: DMR-protected row softmax producing the full P tensor.
         probs, stats_list = dmr_row_softmax_stacked(scores, router)
         for report, stats in zip(reports, stats_list):
             report.record_detection("softmax", stats["detected"])
             report.record_recomputation("softmax", stats["rounds"])
 
+        # Kernel III: ABFT-protected GEMM producing the attention output.
         out, verdicts_pv = protected_matmul_stacked(
             probs,
             v,
@@ -142,50 +118,6 @@ class DecoupledFTAttention:
             report.record_detection("gemm_pv", verdict.detected)
             report.record_correction("gemm_pv", verdict.corrected)
             report.record_uncorrectable("gemm_pv", verdict.uncorrectable)
-        return out
-
-    # ------------------------------------------------------------------ #
-    def _forward_single(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        scale: float,
-        injector: FaultInjector | None,
-        report: FaultToleranceReport,
-    ) -> np.ndarray:
-        # Kernel I: ABFT-protected GEMM producing the full score tensor.
-        scores, verdict_qk = protected_matmul(
-            q,
-            k.T,
-            scale=scale,
-            injector=injector,
-            site=FaultSite.GEMM_QK,
-            atol=self.config.checksum_atol,
-            rtol=self.config.score_checksum_rtol,
-        )
-        report.record_detection("gemm_qk", verdict_qk.detected)
-        report.record_correction("gemm_qk", verdict_qk.corrected)
-        report.record_uncorrectable("gemm_qk", verdict_qk.uncorrectable)
-
-        # Kernel II: DMR-protected row softmax producing the full P tensor.
-        probs, dmr_stats = dmr_row_softmax(scores, injector=injector)
-        report.record_detection("softmax", dmr_stats["detected"])
-        report.record_recomputation("softmax", dmr_stats["rounds"])
-
-        # Kernel III: ABFT-protected GEMM producing the attention output.
-        out, verdict_pv = protected_matmul(
-            probs,
-            v,
-            scale=1.0,
-            injector=injector,
-            site=FaultSite.GEMM_PV,
-            atol=self.config.checksum_atol,
-            rtol=self.config.output_checksum_rtol,
-        )
-        report.record_detection("gemm_pv", verdict_pv.detected)
-        report.record_correction("gemm_pv", verdict_pv.corrected)
-        report.record_uncorrectable("gemm_pv", verdict_pv.uncorrectable)
         return out
 
     # ------------------------------------------------------------------ #

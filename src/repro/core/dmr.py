@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.attention.softmax import stable_softmax
-from repro.fault.injector import FaultInjector
+from repro.fault.injector import FaultInjector, _BatchFaultRouter
 from repro.fault.models import FaultSite
 
 
@@ -39,31 +39,11 @@ def dmr_row_softmax(
         ``detected`` (1 if any disagreement was seen) and ``rowsum_violations``
         (rows whose sum deviates from 1 beyond the tolerance, Equation 11).
     """
-    scores = np.asarray(scores, dtype=np.float32)
-    primary = stable_softmax(scores, axis=-1)
-    if injector is not None:
-        injector.corrupt(FaultSite.SOFTMAX, primary)
-
-    stats = {"rounds": 0, "detected": 0, "rowsum_violations": 0}
-    reference = stable_softmax(scores, axis=-1)
-    current = primary
-    for _ in range(max_rounds):
-        diff = np.abs(current - reference)
-        if np.all(diff <= tolerance * np.maximum(np.abs(reference), 1e-6)):
-            break
-        stats["detected"] = 1
-        stats["rounds"] += 1
-        current = reference
-        reference = stable_softmax(scores, axis=-1)
-
-    rowsums = current.sum(axis=-1)
-    violations = int(np.count_nonzero(np.abs(rowsums - 1.0) > tolerance))
-    if violations:
-        stats["detected"] = 1
-        stats["rowsum_violations"] = violations
-        stats["rounds"] += 1
-        current = stable_softmax(scores, axis=-1)
-    return current, stats
+    router = _BatchFaultRouter([injector])
+    probs, stats = dmr_row_softmax_stacked(
+        np.asarray(scores, dtype=np.float32)[None], router, tolerance, max_rounds
+    )
+    return probs[0], stats[0]
 
 
 def dmr_row_softmax_stacked(
@@ -75,15 +55,15 @@ def dmr_row_softmax_stacked(
     """:func:`dmr_row_softmax` over a stacked ``(trials, rows, cols)`` tensor.
 
     Both softmax executions and the agreement comparison run once over the
-    stack (row softmax and the elementwise checks are per-slice bitwise equal
-    to the 2D versions).  Trials whose duplicate agrees and whose row sums
-    hold get the scalar routine's zero stats without further work; a flagged
-    trial replays the scalar retry loop on its own slice -- starting from the
-    already-offered primary, so the injector is not consulted again -- and its
-    recomputed softmaxes are the scalar recomputations bit for bit.
+    stack (row softmax and the elementwise checks are per-slice, so a trial's
+    values do not depend on the stack).  Trials whose duplicate agrees and
+    whose row sums hold get zero stats without further work; a flagged trial
+    runs the retry loop on its own slice -- starting from the already-offered
+    primary, so the injector is not consulted again.
 
     ``router`` fans the single :data:`FaultSite.SOFTMAX` offer out to every
-    trial's injector on its own slice (same array shape as the scalar offer).
+    trial's injector on its own slice.  :func:`dmr_row_softmax` is this at a
+    trial axis of one.
     """
     scores = np.asarray(scores, dtype=np.float32)
     n_trials = scores.shape[0]
@@ -91,9 +71,13 @@ def dmr_row_softmax_stacked(
     router.corrupt(FaultSite.SOFTMAX, primary)
     reference = stable_softmax(scores, axis=-1)
 
-    diff = np.abs(primary - reference)
-    within = diff <= tolerance * np.maximum(np.abs(reference), 1e-6)
-    ok = within.reshape(n_trials, -1).all(axis=1)
+    # Unnamed temporaries: the agreement masks are freed before any retry
+    # allocates its recomputed softmaxes, which keeps the peak footprint down.
+    ok = (
+        (np.abs(primary - reference) <= tolerance * np.maximum(np.abs(reference), 1e-6))
+        .reshape(n_trials, -1)
+        .all(axis=1)
+    )
     rowsums = primary.sum(axis=-1)
     violation_counts = (np.abs(rowsums - 1.0) > tolerance).reshape(n_trials, -1).sum(axis=1)
 

@@ -15,6 +15,10 @@ This class implements the *per-iteration verification* variant ("EFTA" in
 Tables 1 and 2).  :class:`repro.core.efta_optimized.EFTAttentionOptimized`
 derives the unified-verification variant from it.
 
+The fused kernel exists once, over a leading *trial* axis
+(:meth:`EFTAttention.forward_batched`, see :mod:`repro.core.stacked`);
+:meth:`EFTAttention.forward` is that kernel at a trial axis of one.
+
 Known limitation (shared with the paper's design): a reduce-max fault is not
 *corrected* -- its effect cancels between numerator and denominator (SNVR
 case 1) as long as the exponentials stay in range.  A corruption large enough
@@ -29,12 +33,8 @@ import numpy as np
 
 from repro.attention.tiling import partition_blocks
 from repro.core.config import AttentionConfig, FaultToleranceReport
-from repro.core.snvr import (
-    exp_checksum_propagate,
-    restrict_rowsum,
-    restrict_rowsum_stacked,
-    verify_exp_products,
-)
+from repro.core.snvr import exp_checksum_propagate, restrict_rowsum_stacked, verify_exp_products
+from repro.core.stacked import forward_one_trial, forward_stacked
 from repro.core.strided_abft import BlockChecksums, StridedABFT
 from repro.fault.injector import FaultInjector
 from repro.fault.models import FaultSite
@@ -79,64 +79,31 @@ class EFTAttention:
         v: np.ndarray,
         injector: FaultInjector | None = None,
     ) -> tuple[np.ndarray, FaultToleranceReport]:
-        """Protected attention over ``(..., seq_len, head_dim)`` tensors."""
-        q = np.asarray(q, dtype=np.float32)
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        if q.shape[:-2] != k.shape[:-2] or q.shape[:-2] != v.shape[:-2]:
-            raise ValueError("q, k, v must share leading dimensions")
-        if q.shape[-1] != k.shape[-1]:
-            raise ValueError("q and k must share the head dimension")
+        """Protected attention over ``(..., seq_len, head_dim)`` tensors.
 
-        lead = q.shape[:-2]
-        q2 = q.reshape((-1,) + q.shape[-2:])
-        k2 = k.reshape((-1,) + k.shape[-2:])
-        v2 = v.reshape((-1,) + v.shape[-2:])
-        report = FaultToleranceReport()
-        out = np.empty_like(q2)
-        already_applied = injector.applied_count if injector is not None else 0
-        for g in range(q2.shape[0]):
-            out[g] = self._forward_single(q2[g], k2[g], v2[g], injector, report)
-        if injector is not None:
-            report.injected.extend(injector.records[already_applied:])
-        return out.reshape(lead + q.shape[-2:]), report
+        The stacked kernel of :meth:`forward_batched` at a trial axis of one.
+        """
+        return forward_one_trial(self.forward_batched, q, k, v, injector)
 
     __call__ = forward
 
     def forward_batched(self, q, k, v, router):
-        """Stacked-trial mirror of :meth:`forward`: one more leading axis.
+        """Protected attention over a stack of trials: one more leading axis.
 
         ``q``/``k``/``v`` carry a leading *trial* axis; ``router`` fans each
         ``corrupt`` offer out to every trial's own injector on its slice.  The
         tile recurrence, the checksum propagation and the verification all
         keep the trial axis (batched-last-two-dims matmuls, last-axis
         reductions), so every per-trial slice of every intermediate -- and the
-        per-trial report counters -- are bitwise what :meth:`forward` produces
-        for that trial alone.  Verification *detection* runs stacked; only
-        flagged trials fall back to the scalar repair path on slice views.
+        per-trial report counters -- do not depend on what else is stacked.
+        Verification *detection* runs stacked; only flagged trials take the
+        repair path, on slice views.
 
         Returns ``(out, reports)`` with one report per trial.  The reports'
         ``injected`` lists are left empty (the caller owns the per-trial
         injectors and their records).
         """
-        q = np.asarray(q, dtype=np.float32)
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        if q.shape[:-2] != k.shape[:-2] or q.shape[:-2] != v.shape[:-2]:
-            raise ValueError("q, k, v must share leading dimensions")
-        if q.shape[-1] != k.shape[-1]:
-            raise ValueError("q and k must share the head dimension")
-        n_trials = q.shape[0]
-        q2 = q.reshape((n_trials, -1) + q.shape[-2:])
-        k2 = k.reshape((n_trials, -1) + k.shape[-2:])
-        v2 = v.reshape((n_trials, -1) + v.shape[-2:])
-        reports = [FaultToleranceReport() for _ in range(n_trials)]
-        out = np.empty_like(q2)
-        for g in range(q2.shape[1]):
-            out[:, g] = self._forward_single_stacked(
-                q2[:, g], k2[:, g], v2[:, g], router, reports
-            )
-        return out.reshape(q.shape), reports
+        return forward_stacked(self._forward_group, q, k, v, router)
 
     def cost_breakdown(self, batch: int, heads: int) -> CostBreakdown:
         """Simulated (roofline) cost of EFTA for a full multi-head workload."""
@@ -156,136 +123,9 @@ class EFTAttention:
         )
 
     # ------------------------------------------------------------------ #
-    # Fused kernel for one (batch, head) problem
+    # Fused kernel for one (batch, head) group, over the trial stack
     # ------------------------------------------------------------------ #
-    def _forward_single(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        injector: FaultInjector | None,
-        report: FaultToleranceReport,
-    ) -> np.ndarray:
-        cfg = self.config
-        scale = cfg.effective_scale
-        stride = cfg.checksum_stride
-        seq_len, head_dim = q.shape
-        out = np.empty((seq_len, head_dim), dtype=np.float32)
-
-        # Value and |V| magnitude checksums depend only on the column block;
-        # encode them once per j instead of inside the (i, j) inner loop.
-        v_checks = []
-        v_abs_c1 = []
-        for col_blk in partition_blocks(k.shape[0], cfg.block_size):
-            v_checks.append(self.abft.encode_value_checksums(v[col_blk]))
-            v_abs_c1.append(self.abft.encode_value_checksums(np.abs(v[col_blk]))[0])
-
-        for i, row_blk in enumerate(partition_blocks(seq_len, cfg.block_size)):
-            q_i = q[row_blk]
-            rows = q_i.shape[0]
-            row_max = np.full(rows, -np.inf, dtype=np.float32)
-            row_sum = np.zeros(rows, dtype=np.float32)
-            acc = np.zeros((rows, head_dim), dtype=np.float32)
-            acc_c1 = np.zeros((rows, stride), dtype=np.float32)
-            acc_c2 = np.zeros((rows, stride), dtype=np.float32)
-            # Per-class accumulated magnitude |P| |V|: the reference scale the
-            # output checksum round-off is measured against (the output itself
-            # can cancel to near zero while the accumulated terms stay O(1)).
-            acc_mag = np.zeros((rows, stride), dtype=np.float32)
-            block_maxes: list[np.ndarray] = []
-
-            for j, col_blk in enumerate(partition_blocks(k.shape[0], cfg.block_size)):
-                k_j = k[col_blk]
-                v_j = v[col_blk]
-                block = (i, j)
-
-                # --- checksum encoding (CCG) -------------------------------
-                score_chk = self.abft.score_block_checksums(q_i, k_j, scale)
-                v_c1, v_c2 = v_checks[j]
-
-                # --- GEMM I -------------------------------------------------
-                scores = fp16_matmul(q_i, k_j.T) * np.float32(scale)
-                if injector is not None:
-                    injector.corrupt(FaultSite.GEMM_QK, scores, block=block)
-
-                # --- reduce max (SNVR case 1: no protection needed) --------
-                local_max = scores.max(axis=1)
-                new_max = np.maximum(row_max, local_max)
-                if injector is not None:
-                    injector.corrupt(FaultSite.REDUCE_MAX, new_max, block=block)
-
-                # --- subtraction + exponentiation ---------------------------
-                probs = np.exp(scores - new_max[:, None]).astype(np.float32)
-                if injector is not None:
-                    injector.corrupt(FaultSite.SUBTRACT_EXP, probs, block=block)
-
-                # --- unified EXP / GEMM I verification ----------------------
-                probs, new_max, local_max = self._verify_exp_stage(
-                    scores, probs, row_max, new_max, local_max, score_chk, report
-                )
-
-                # --- reduce sum + SNVR case 3 -------------------------------
-                rescale = np.where(
-                    np.isfinite(row_max), np.exp(row_max - new_max), 0.0
-                ).astype(np.float32)
-                new_sum = rescale * row_sum + probs.sum(axis=1, dtype=np.float32)
-                if injector is not None:
-                    injector.corrupt(FaultSite.REDUCE_SUM, new_sum, block=block)
-                block_maxes.append(local_max)
-                if not self.unified_verification:
-                    new_sum = self._restrict_rowsum(
-                        new_sum, block_maxes, new_max, (j + 1) * cfg.block_size, report
-                    )
-                row_sum = new_sum
-
-                # --- rescale + GEMM II --------------------------------------
-                acc_scaled = rescale[:, None] * acc
-                if injector is not None:
-                    injector.corrupt(FaultSite.RESCALE, acc_scaled, block=block)
-                acc = acc_scaled + fp16_matmul(probs, v_j)
-                if injector is not None:
-                    injector.corrupt(FaultSite.GEMM_PV, acc, block=block)
-                acc_c1 = rescale[:, None] * acc_c1 + fp16_matmul(probs, v_c1)
-                acc_c2 = rescale[:, None] * acc_c2 + fp16_matmul(probs, v_c2)
-                acc_mag = rescale[:, None] * acc_mag + fp16_matmul(probs, v_abs_c1[j])
-
-                if not self.unified_verification:
-                    verdict = self.abft.verify_output(
-                        acc, acc_c1, acc_c2, magnitude=_OUTPUT_MAGNITUDE_FLOOR * acc_mag
-                    )
-                    report.record_detection("gemm_pv", verdict.detected)
-                    report.record_correction("gemm_pv", verdict.corrected)
-                    report.record_uncorrectable("gemm_pv", verdict.uncorrectable)
-
-                row_max = new_max
-
-            # --- SNVR rowsum restriction before normalisation ---------------
-            row_sum = self._restrict_rowsum(row_sum, block_maxes, row_max, k.shape[0], report)
-
-            # --- normalisation ----------------------------------------------
-            denom = np.where(row_sum > 0.0, row_sum, 1.0).astype(np.float32)
-            o_block = acc / denom[:, None]
-            if injector is not None:
-                injector.corrupt(FaultSite.NORMALIZE, o_block, block=(i, -1))
-            acc_c1 = acc_c1 / denom[:, None]
-            acc_c2 = acc_c2 / denom[:, None]
-
-            # --- final unified verification of GEMM II / rescale / normalise -
-            verdict = self.abft.verify_output(
-                o_block, acc_c1, acc_c2,
-                magnitude=_OUTPUT_MAGNITUDE_FLOOR * acc_mag / denom[:, None],
-            )
-            report.record_detection("output", verdict.detected)
-            report.record_correction("output", verdict.corrected)
-            report.record_uncorrectable("output", verdict.uncorrectable)
-
-            out[row_blk] = o_block
-        return out
-
-    # ------------------------------------------------------------------ #
-    # Fused kernel, stacked over a leading trial axis
-    # ------------------------------------------------------------------ #
-    def _forward_single_stacked(
+    def _forward_group(
         self,
         q: np.ndarray,
         k: np.ndarray,
@@ -293,12 +133,12 @@ class EFTAttention:
         router,
         reports: list[FaultToleranceReport],
     ) -> np.ndarray:
-        """:meth:`_forward_single` with a ``(trials, seq, head_dim)`` stack.
+        """Algorithm 1 on ``(trials, seq, head_dim)`` operands.
 
-        Byte-parity rules: the trial axis is never flattened into a GEMM's
-        row dimension (a fused 2D GEMM can pick a different kernel blocking
-        and drift in the last bits); reductions stay on the last axis; the
-        router sees the exact ``corrupt`` offer sequence of the scalar loop.
+        Stack-invariance rules: the trial axis is never flattened into a
+        GEMM's row dimension (a fused 2D GEMM can pick a different kernel
+        blocking and drift in the last bits); reductions stay on the last
+        axis; every trial's injector sees the offer sequence of a lone run.
         """
         cfg = self.config
         scale = cfg.effective_scale
@@ -405,7 +245,7 @@ class EFTAttention:
         score_chk,
         report: FaultToleranceReport,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Unified verification of GEMM I, the subtraction and the EXP.
+        """Unified verification of GEMM I, the subtraction and the EXP (one trial).
 
         The score checksum is propagated through the same subtraction and
         exponentiation; a mismatch between the strided products of ``probs``
@@ -465,26 +305,6 @@ class EFTAttention:
             report.record_recomputation("exp", int(len(rows)))
         return probs, new_max, local_max
 
-    def _restrict_rowsum(
-        self,
-        row_sum: np.ndarray,
-        block_maxes: list[np.ndarray],
-        row_max: np.ndarray,
-        attended_positions: int,
-        report: FaultToleranceReport,
-    ) -> np.ndarray:
-        """SNVR case 3: range-restrict the running normaliser."""
-        if not block_maxes:
-            return row_sum
-        stacked = np.stack(block_maxes, axis=0)
-        lower = np.exp(stacked - row_max[None, :]).sum(axis=0).astype(np.float32)
-        upper = float(min(attended_positions, self.config.seq_len))
-        restricted, n_restored = restrict_rowsum(row_sum, lower, upper)
-        if n_restored:
-            report.record_detection("rowsum", n_restored)
-            report.record_restoration("rowsum", n_restored)
-        return restricted
-
     def _verify_exp_stage_stacked(
         self,
         scores: np.ndarray,
@@ -495,16 +315,14 @@ class EFTAttention:
         score_chk: BlockChecksums,
         reports: list[FaultToleranceReport],
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked EXP/GEMM-I verification: detect once, repair per trial.
+        """EXP/GEMM-I verification over the stack: detect once, repair per trial.
 
         The propagated checksum and the strided-product comparison are
         elementwise over the stack, so one pass computes every trial's ``bad``
-        and ``degenerate`` masks -- bitwise the scalar masks per slice.
-        Unflagged trials take the scalar early return (nothing touched).  Each
-        flagged trial re-runs :meth:`_verify_exp_stage` on slice *views*, so
-        the in-place score correction, the max/probs recomputation and the
-        report bookkeeping are exactly the scalar path's, landing in the
-        stacked arrays.
+        and ``degenerate`` masks.  Unflagged trials are left untouched.  Each
+        flagged trial runs :meth:`_verify_exp_stage` on slice *views*, so the
+        in-place score correction and the max/probs recomputation land in the
+        stacked arrays and the bookkeeping in that trial's report.
         """
         cfg = self.config
         stride = cfg.checksum_stride

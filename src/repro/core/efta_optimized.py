@@ -26,11 +26,12 @@ from repro.core.efta import EFTAttention
 class EFTAttentionOptimized(EFTAttention):
     """End-to-end fault tolerant attention with unified (deferred) verification.
 
-    Inherits :meth:`EFTAttention.forward_batched` unchanged: the stacked
-    kernel branches on :attr:`unified_verification` exactly like the scalar
-    one, so the deferred-verification variant rides the same batched fast
-    path (per-iteration GEMM II verification and rowsum restriction are
-    skipped, the final output verification runs stacked).
+    Inherits :meth:`EFTAttention.forward` and
+    :meth:`EFTAttention.forward_batched` unchanged: the one fused kernel
+    branches on :attr:`unified_verification` (per-iteration GEMM II
+    verification and rowsum restriction are skipped; the final output
+    verification and the rowsum restriction before normalisation run once
+    per row block).
     """
 
     unified_verification = True

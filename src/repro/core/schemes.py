@@ -36,6 +36,7 @@ from repro.core.config import AttentionConfig, FaultToleranceReport
 from repro.core.decoupled import DecoupledFTAttention
 from repro.core.efta import EFTAttention
 from repro.core.efta_optimized import EFTAttentionOptimized
+from repro.core.stacked import forward_one_trial, forward_stacked
 from repro.fault.injector import FaultInjector
 from repro.fault.models import FaultSite
 from repro.fp.float16 import fp16_matmul
@@ -81,24 +82,26 @@ class ProtectionScheme:
 
     # ------------------------------------------------------------------ #
     def forward_batched(self, q, k, v, router):
-        """Optional batched forward over a stacked leading *trial* axis.
+        """Attention over a stack of trials (a leading *trial* axis).
 
         ``q``/``k``/``v`` carry an extra leading trial dimension
         (``(trials, ..., seq_len, head_dim)``); ``router`` fans every
         ``corrupt(site, array, block)`` offer out to each trial's own
         injector on ``array[t]`` (see
-        :class:`repro.fault.batched._BatchFaultRouter`).  Implementations
+        :class:`repro.fault.injector._BatchFaultRouter`).  Implementations
         must return ``(out, reports)`` with one
         :class:`~repro.core.config.FaultToleranceReport` per trial, and every
         per-trial slice of ``out`` (and of the report counters) must be
         bitwise identical to what :meth:`forward` produces for that trial
         alone -- batching is an execution-speed optimisation, never a
-        numerics trade-off.
+        numerics trade-off.  The built-in schemes implement their kernel
+        only here; their :meth:`forward` is this at a trial axis of one
+        (:func:`repro.core.stacked.forward_one_trial`).
 
-        The default declines (returns ``None``): the caller falls back to the
-        scalar path.  A scheme that advertises :attr:`supports_batched` must
-        not decline, because the caller may already have consumed per-trial
-        generators by the time it calls this.
+        The default declines (returns ``None``): the caller runs the trials
+        one by one through :meth:`forward`.  A scheme that advertises
+        :attr:`supports_batched` must not decline, because the caller may
+        already have consumed per-trial generators by the time it calls this.
         """
         return None
 
@@ -206,99 +209,20 @@ class UnprotectedAttention(ProtectionScheme):
     protects_linear = False
 
     def forward(self, q, k, v, injector=None):
-        q = np.asarray(q, dtype=np.float32)
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        if q.shape[:-2] != k.shape[:-2] or q.shape[:-2] != v.shape[:-2]:
-            raise ValueError("q, k, v must share leading dimensions")
-        if q.shape[-1] != k.shape[-1]:
-            raise ValueError("q and k must share the head dimension")
-        lead = q.shape[:-2]
-        q2 = q.reshape((-1,) + q.shape[-2:])
-        k2 = k.reshape((-1,) + k.shape[-2:])
-        v2 = v.reshape((-1,) + v.shape[-2:])
-        report = FaultToleranceReport()
-        out = np.empty_like(q2)
-        already_applied = injector.applied_count if injector is not None else 0
-        for g in range(q2.shape[0]):
-            out[g] = self._forward_single(q2[g], k2[g], v2[g], injector)
-        if injector is not None:
-            report.injected.extend(injector.records[already_applied:])
-        return out.reshape(lead + q.shape[-2:]), report
-
-    def _forward_single(self, q, k, v, injector):
-        cfg = self.config
-        scale = np.float32(cfg.effective_scale)
-        seq_len, head_dim = q.shape
-        out = np.empty((seq_len, head_dim), dtype=np.float32)
-        for i, row_blk in enumerate(partition_blocks(seq_len, cfg.block_size)):
-            q_i = q[row_blk]
-            rows = q_i.shape[0]
-            row_max = np.full(rows, -np.inf, dtype=np.float32)
-            row_sum = np.zeros(rows, dtype=np.float32)
-            acc = np.zeros((rows, head_dim), dtype=np.float32)
-            for j, col_blk in enumerate(partition_blocks(k.shape[0], cfg.block_size)):
-                k_j = k[col_blk]
-                v_j = v[col_blk]
-                block = (i, j)
-                scores = fp16_matmul(q_i, k_j.T) * scale
-                if injector is not None:
-                    injector.corrupt(FaultSite.GEMM_QK, scores, block=block)
-                local_max = scores.max(axis=1)
-                new_max = np.maximum(row_max, local_max)
-                if injector is not None:
-                    injector.corrupt(FaultSite.REDUCE_MAX, new_max, block=block)
-                probs = np.exp(scores - new_max[:, None]).astype(np.float32)
-                if injector is not None:
-                    injector.corrupt(FaultSite.SUBTRACT_EXP, probs, block=block)
-                rescale = np.exp(row_max - new_max).astype(np.float32)
-                rescale = np.where(np.isfinite(rescale), rescale, 0.0).astype(np.float32)
-                row_sum = rescale * row_sum + probs.sum(axis=1, dtype=np.float32)
-                if injector is not None:
-                    injector.corrupt(FaultSite.REDUCE_SUM, row_sum, block=block)
-                acc_scaled = rescale[:, None] * acc
-                if injector is not None:
-                    injector.corrupt(FaultSite.RESCALE, acc_scaled, block=block)
-                # FP32 value accumulation, matching flash_attention's
-                # OnlineSoftmaxState.update (only the score GEMM is FP16).
-                acc = acc_scaled + probs @ v_j
-                if injector is not None:
-                    injector.corrupt(FaultSite.GEMM_PV, acc, block=block)
-                row_max = new_max
-            denom = np.where(row_sum > 0.0, row_sum, 1.0)
-            o_block = (acc / denom[:, None]).astype(np.float32)
-            if injector is not None:
-                injector.corrupt(FaultSite.NORMALIZE, o_block, block=(i, -1))
-            out[row_blk] = o_block
-        return out
+        return forward_one_trial(self.forward_batched, q, k, v, injector)
 
     def forward_batched(self, q, k, v, router):
-        """Stacked-trial mirror of :meth:`forward`: same loop, one more axis.
+        """The flash recurrence over a stack of trials (leading trial axis).
 
         The trial axis is carried through every intermediate and the matmuls
-        stay batched-last-two-dims, so each trial's slice is bitwise the
-        scalar product; the router receives the identical ``corrupt`` offer
-        sequence (same sites, same blocks, same per-trial array shapes) the
-        scalar loop makes.  No verification happens under this scheme, so the
-        returned reports are empty.
+        stay batched-last-two-dims, so each trial's slice does not depend on
+        the stack; every trial's injector receives the offer sequence (same
+        sites, same blocks, same per-trial array shapes) of a lone run.  No
+        verification happens under this scheme, so the reports stay empty.
         """
-        q = np.asarray(q, dtype=np.float32)
-        k = np.asarray(k, dtype=np.float32)
-        v = np.asarray(v, dtype=np.float32)
-        if q.shape[:-2] != k.shape[:-2] or q.shape[:-2] != v.shape[:-2]:
-            raise ValueError("q, k, v must share leading dimensions")
-        if q.shape[-1] != k.shape[-1]:
-            raise ValueError("q and k must share the head dimension")
-        n_trials = q.shape[0]
-        q2 = q.reshape((n_trials, -1) + q.shape[-2:])
-        k2 = k.reshape((n_trials, -1) + k.shape[-2:])
-        v2 = v.reshape((n_trials, -1) + v.shape[-2:])
-        out = np.empty_like(q2)
-        for g in range(q2.shape[1]):
-            out[:, g] = self._forward_single_stacked(q2[:, g], k2[:, g], v2[:, g], router)
-        return out.reshape(q.shape), [FaultToleranceReport() for _ in range(n_trials)]
+        return forward_stacked(self._forward_group, q, k, v, router)
 
-    def _forward_single_stacked(self, q, k, v, router):
+    def _forward_group(self, q, k, v, router, reports):
         cfg = self.config
         scale = np.float32(cfg.effective_scale)
         trials, seq_len, head_dim = q.shape
@@ -326,6 +250,8 @@ class UnprotectedAttention(ProtectionScheme):
                 router.corrupt(FaultSite.REDUCE_SUM, row_sum, block=block)
                 acc_scaled = rescale[..., None] * acc
                 router.corrupt(FaultSite.RESCALE, acc_scaled, block=block)
+                # FP32 value accumulation, matching flash_attention's
+                # OnlineSoftmaxState.update (only the score GEMM is FP16).
                 acc = acc_scaled + np.matmul(probs, v_j)
                 router.corrupt(FaultSite.GEMM_PV, acc, block=block)
                 row_max = new_max
@@ -358,14 +284,7 @@ class _KernelScheme(ProtectionScheme):
         return self.kernel.forward(q, k, v, injector=injector)
 
     def forward_batched(self, q, k, v, router):
-        fwd = getattr(self.kernel, "forward_batched", None)
-        if fwd is None:
-            return None
-        return fwd(q, k, v, router)
-
-    @property
-    def supports_batched(self) -> bool:
-        return hasattr(self.kernel, "forward_batched")
+        return self.kernel.forward_batched(q, k, v, router)
 
     def cost_breakdown(self, batch: int, heads: int) -> CostBreakdown:
         return self.kernel.cost_breakdown(batch, heads)

@@ -18,7 +18,7 @@ from repro.gemm.checksum import (
     verify_column_checksums,
     verify_row_checksums,
 )
-from repro.fault.injector import FaultInjector
+from repro.fault.injector import FaultInjector, _BatchFaultRouter
 from repro.fault.models import FaultSite
 
 
@@ -60,26 +60,11 @@ def protected_matmul(
         raise ValueError("protected_matmul expects 2-D operands")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions disagree: {a.shape} @ {b.shape}")
-
-    matmul = fp16_matmul if mixed_precision else lambda x, y: np.matmul(x, y).astype(np.float32)
-
-    # Encode: two checksum rows from A, two checksum columns from B.
-    ca1, ca2 = encode_column_checksums(a)
-    br1, br2 = encode_row_checksums(b)
-
-    c = matmul(a, b) * np.float32(scale)
-    # Checksum products computed alongside the original GEMM (Equation C_f = A_c B_r).
-    c_col1 = matmul(ca1[None, :], b)[0] * np.float32(scale)
-    c_col2 = matmul(ca2[None, :], b)[0] * np.float32(scale)
-    c_row1 = matmul(a, br1[:, None])[:, 0] * np.float32(scale)
-    c_row2 = matmul(a, br2[:, None])[:, 0] * np.float32(scale)
-
-    if injector is not None:
-        injector.corrupt(site, c)
-
-    verdict = verify_column_checksums(c, c_col1, c_col2, atol=atol, rtol=rtol)
-    verdict.merge(verify_row_checksums(c, c_row1, c_row2, atol=atol, rtol=rtol))
-    return c, verdict
+    router = _BatchFaultRouter([injector])
+    c, verdicts = protected_matmul_stacked(
+        a[None], b[None], router, scale, site, atol, rtol, mixed_precision
+    )
+    return c[0], verdicts[0]
 
 
 def protected_matmul_stacked(
@@ -95,11 +80,12 @@ def protected_matmul_stacked(
     """:func:`protected_matmul` over a stacked ``(trials, m, k)`` batch.
 
     The product runs as one batched-last-two-dims matmul (each trial's slice
-    is bitwise the scalar 2-D product); the checksum encodings, checksum
-    products and the verification stay per trial, in the scalar call order,
-    on slice views -- so in-place corrections land in the stacked product and
-    every verdict matches the scalar one.  ``router`` fans the single
-    post-GEMM ``corrupt`` offer out to each trial's injector on its slice.
+    does not depend on the stack); the checksum encodings, checksum products
+    and the verification run per trial on slice views -- so in-place
+    corrections land in the stacked product -- and return one verdict per
+    trial.  ``router`` fans the single post-GEMM ``corrupt`` offer out to
+    each trial's injector on its slice.  :func:`protected_matmul` is this at
+    a trial axis of one.
     """
     a = np.asarray(a, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32)
@@ -112,8 +98,8 @@ def protected_matmul_stacked(
 
     c = matmul(a, b) * np.float32(scale)
     # The checksum vectors depend on the per-trial operands; encoding and the
-    # (1 x k) / (k x 1) checksum products are the scalar calls on slice views.
-    # They are computed before the corrupt offer, like the scalar routine.
+    # (1 x k) / (k x 1) checksum products run per trial on slice views,
+    # before the corrupt offer (they ride alongside the original GEMM).
     checks = []
     for t in range(a.shape[0]):
         ca1, ca2 = encode_column_checksums(a[t])

@@ -5,29 +5,36 @@ trial; that forward is a chain of small GEMMs and elementwise ops whose cost
 is dominated by per-call NumPy overhead.  This module folds a whole chunk of
 trials into one tensor program: the trials' token batches are stacked along
 the model's batch axis, every linear layer becomes one batched GEMM, and the
-attention -- protected or not -- carries the trial axis through its tile
-recurrence via the scheme's ``forward_batched`` (see
-:meth:`repro.core.schemes.ProtectionScheme.forward_batched`), while each
-trial keeps its own :class:`~repro.fault.injector.FaultInjector`, whose
-faults are applied to that trial's slice of the stacked intermediates.
+attention runs the scheme's own kernel over the trial axis
+(:meth:`repro.core.schemes.ProtectionScheme.forward_batched`, the only
+implementation of each built-in scheme's kernel -- a scalar ``forward`` is
+that kernel at a trial axis of one).  Each trial keeps its own
+:class:`~repro.fault.injector.FaultInjector`, whose faults are applied to
+that trial's slice of the stacked intermediates.
 
-Byte-parity with the scalar kernel is enforced by
+``transformer_inference`` is the campaign whose batch kernel pays for its
+code (3.8-5.9x over per-trial forwards in ``BENCH_2.json``).
+:mod:`repro.fault.campaign` attaches :func:`_transformer_inference_batch` to
+the registry right after the scalar kernel, so importing this module
+registers nothing and works in any order.
+
+Byte-parity with the per-trial model forward is enforced by
 ``tests/fault/test_batched.py`` and rests on two rules:
 
 * the trial axis is never flattened into a GEMM's row dimension (a fused 2D
   GEMM can pick a different kernel blocking for the larger row count and
   drift in the last bits -- observed on the wide ``lm_head`` projection);
   every matmul stays batched-last-two-dims so each trial's slice is the very
-  same product the scalar forward computes;
-* every injector sees the exact ``corrupt`` offer sequence of the scalar
+  same product the per-trial forward computes;
+* every injector sees the exact ``corrupt`` offer sequence of the per-trial
   forward (same sites, same blocks, same per-trial array shapes), so its
   occurrence counting and element draws are unchanged.
 
-Protected schemes (``efta``, ``efta_unified``, ``decoupled``) ride the same
-path: verification *detection* runs stacked, and only flagged trials fall
-back to the scalar repair routines on slice views.  A scheme whose attention
-kernel has no ``forward_batched`` declines the chunk (returns ``None``)
-before consuming any generator, and the scalar oracle runs trial by trial.
+The model-level step still exists twice: ``TransformerModel.forward`` and
+:func:`_forward_batched` (``perfbench`` traces both by module path, so
+merging them waits for the next benchmark change).  A scheme whose
+attention has no ``forward_batched`` declines the chunk (returns ``None``)
+before consuming any generator, and the trials run one by one.
 """
 
 from __future__ import annotations
@@ -39,36 +46,8 @@ import numpy as np
 from repro.attention.flash import flash_attention
 from repro.attention.tiling import merge_heads, split_heads
 from repro.core.config import FaultToleranceReport
-from repro.fault.runner import register_campaign_batch
+from repro.fault.injector import _BatchFaultRouter
 from repro.fp.float16 import fp16_matmul
-
-
-class _BatchFaultRouter:
-    """Routes one stacked ``corrupt`` offer to every trial's own injector.
-
-    The stacked intermediates have shape ``(n_trials, ...)`` with trial ``t``
-    owning slice ``array[t]`` -- exactly the array the scalar forward would
-    offer, so each injector's element draws, occurrence counting and records
-    are unchanged.
-    """
-
-    def __init__(self, injectors: list):
-        # Offers only reach injectors that still have un-applied faults: a
-        # drained injector's `corrupt` is a no-op by contract (applied
-        # pendings are skipped), so dropping it from the fan-out changes
-        # nothing while removing most of the per-offer Python cost (one
-        # planned fault per trial is the common case).
-        self._active = [(t, inj) for t, inj in enumerate(injectors) if inj.armed]
-
-    def corrupt(self, site, array: np.ndarray, block=None) -> None:
-        if not self._active:
-            return
-        still_armed = []
-        for t, injector in self._active:
-            injector.corrupt(site, array[t], block)
-            if injector.armed:
-                still_armed.append((t, injector))
-        self._active = still_armed
 
 
 # --------------------------------------------------------------------------- #
@@ -243,7 +222,6 @@ def _forward_batched(
     return logits
 
 
-@register_campaign_batch("transformer_inference")
 def _transformer_inference_batch(rngs: list, params: dict) -> list[dict] | None:
     """Batched transformer trials: one stacked forward for the whole chunk.
 
@@ -277,7 +255,7 @@ def _transformer_inference_batch(rngs: list, params: dict) -> list[dict] | None:
         if any(m.at_rest for m in replay_models):
             # At-rest faults mutate the shared model fixture per trial; the
             # stacked forward cannot express that.  Decline before touching
-            # any generator so the scalar oracle runs trial by trial.
+            # any generator so the scalar kernel runs trial by trial.
             return None
         sites = sorted(
             {s.site for specs in replay_trials for s in specs}, key=lambda s: s.value
@@ -366,118 +344,6 @@ def _transformer_inference_batch(rngs: list, params: dict) -> list[dict] | None:
                 else False
             ),
             output_rel_error=rel_err if applied else 0.0,
-        ).to_dict()
-        if replay_trials is not None:
-            record["fault_digest"] = faultload_digest(replay_trials[t])
-        records.append(record)
-    return records
-
-
-@register_campaign_batch("efta_site_resilience")
-def _efta_site_batch(rngs: list, params: dict) -> list[dict] | None:
-    """Batched site-resilience trials: one stacked fused-kernel forward.
-
-    The reference attention and the protected kernel both carry the trial
-    axis; each trial's q/k/v tensors, fault draws (bit, then injector seed)
-    and injector offers replay the scalar kernel's exact order, so the
-    records are byte-identical to the scalar path.
-    """
-    from repro.attention.standard import standard_attention
-    from repro.core.config import AttentionConfig
-    from repro.core.efta_optimized import EFTAttentionOptimized
-    from repro.fault.dictionary import faultload_digest, get_fault_model, load_faultload
-    from repro.fault.injector import FaultInjector
-    from repro.fault.metrics import TrialOutcome
-    from repro.fault.models import FaultSite
-
-    fault_model = str(params.get("fault_model", "seu"))
-    if get_fault_model(fault_model).at_rest:
-        # The scalar kernel rejects at-rest models with a clear ValueError;
-        # decline so the error is raised (and worded) in exactly one place.
-        return None
-    model_params = dict(params.get("model_params", {}))
-    replay_trials = None
-    if "faultload" in params:
-        faultload = load_faultload(params["faultload"])
-        trial_indices = params.get("_trial_indices")
-        if trial_indices is None:
-            raise ValueError(
-                "faultload replay requires the campaign runner to supply "
-                "'_trial_indices'; run through repro.fault.runner / repro.exec"
-            )
-        replay_trials = [faultload.specs_for(int(i)) for i in trial_indices]
-        if any(
-            get_fault_model(s.fault_model).at_rest
-            for specs in replay_trials
-            for s in specs
-        ):
-            # The scalar kernel rejects at-rest replays too; decline before
-            # consuming any per-trial generator so it gets to say so.
-            return None
-    else:
-        site = FaultSite(params["site"])
-        if "dtype" in params:
-            dtype = str(params["dtype"])
-        elif "bits" in params:
-            dtype = "fp16"
-        else:
-            from repro.fault.campaign import _FP16_SITES
-
-            dtype = "fp16" if site.value in _FP16_SITES else "fp32"
-        from repro.fault.campaign import _DEFAULT_BITS
-
-        bits = [int(b) for b in params.get("bits", _DEFAULT_BITS.get(dtype, _DEFAULT_BITS["fp16"]))]
-    seq_len = int(params.get("seq_len", 192))
-    head_dim = int(params.get("head_dim", 64))
-    block_size = int(params.get("block_size", 64))
-
-    config = AttentionConfig(seq_len=seq_len, head_dim=head_dim, block_size=block_size)
-    attention = EFTAttentionOptimized(config)
-    if not getattr(attention, "supports_batched", False):
-        return None
-
-    qs = np.stack([rng.standard_normal((seq_len, head_dim)).astype(np.float32) for rng in rngs])
-    ks = np.stack([rng.standard_normal((seq_len, head_dim)).astype(np.float32) for rng in rngs])
-    vs = np.stack([rng.standard_normal((seq_len, head_dim)).astype(np.float32) for rng in rngs])
-    references = standard_attention(qs, ks, vs)
-
-    injectors = []
-    for t, rng in enumerate(rngs):
-        if replay_trials is not None:
-            injectors.append(
-                FaultInjector(specs=list(replay_trials[t]), seed=int(rng.integers(2**31)))
-            )
-        else:
-            bit = bits[int(rng.integers(len(bits)))]
-            block = None if site == FaultSite.NORMALIZE else (0, 1)
-            injectors.append(
-                FaultInjector.single_bit_flip(
-                    site,
-                    seed=int(rng.integers(2**31)),
-                    bit=bit,
-                    dtype=dtype,
-                    block=block,
-                    fault_model=fault_model,
-                    model_params=model_params,
-                )
-            )
-
-    router = _BatchFaultRouter(injectors)
-    outputs, attn_reports = attention.forward_batched(qs, ks, vs, router)
-
-    records = []
-    for t, injector in enumerate(injectors):
-        report = attn_reports[t]
-        rel_err = float(np.abs(outputs[t] - references[t]).max() / np.abs(references[t]).max())
-        if replay_trials is None and fault_model == "seu":
-            injected = 1
-        else:
-            injected = len(injector.records)
-        record = TrialOutcome(
-            injected=injected,
-            detected=int(report.detected_any),
-            corrected=int(report.total_corrections > 0),
-            output_rel_error=rel_err,
         ).to_dict()
         if replay_trials is not None:
             record["fault_digest"] = faultload_digest(replay_trials[t])

@@ -13,6 +13,11 @@ declarative spec files via ``python -m repro run`` (or in-process with
 :func:`repro.exec.run_experiment`).  Each kernel's docstring opens with the
 one-line summary ``repro list-campaigns`` prints, followed by the fault model
 it simulates and the parameters it reads.
+
+Only ``abft_error_coverage`` and ``transformer_inference`` also register a
+batch kernel (``@register_campaign_batch``); the other kernels run trial by
+trial at any batch size (README "Performance" gives the measured
+batched/per-trial ratios behind that split).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import numpy as np
 from repro.core.config import AttentionConfig
 from repro.core.snvr import exp_checksum_propagate, strided_products
 from repro.core.strided_abft import StridedABFT
+from repro.fault.batched import _transformer_inference_batch
 from repro.fault.metrics import TrialOutcome
 from repro.fault.runner import register_campaign, register_campaign_batch
 from repro.fp.bitflip import flip_bit
@@ -294,42 +300,6 @@ def _abft_detection_trial(rng: np.random.Generator, params: dict) -> dict:
     }
 
 
-@register_campaign_batch("abft_detection_sweep")
-def _abft_detection_batch(rngs: list, params: dict) -> list[dict]:
-    """Batched sweep trials: the score GEMM runs once, stacked over trials."""
-    _require_thresholds(params)
-    rows = int(params.get("rows", 64))
-    cols = int(params.get("cols", 64))
-    depth = int(params.get("depth", 64))
-    stride = int(params.get("stride", 8))
-    cfg = AttentionConfig(seq_len=rows, head_dim=depth, checksum_stride=stride)
-    abft = StridedABFT(cfg)
-
-    qs = np.stack([rng.standard_normal((rows, depth)).astype(np.float32) for rng in rngs])
-    ks = np.stack([rng.standard_normal((cols, depth)).astype(np.float32) for rng in rngs])
-    scores_batch = fp16_matmul(qs, ks.transpose(0, 2, 1))
-
-    records = []
-    for t, rng in enumerate(rngs):
-        scores = scores_batch[t]
-        checksums = abft.score_block_checksums(qs[t], ks[t], scale=1.0)
-        reference = np.abs(np.asarray(checksums.check1, dtype=np.float64)) + 1e-6
-        clean_res = np.abs(abft.residuals(scores, checksums)) / reference
-
-        corrupted = scores.copy()
-        idx = (int(rng.integers(rows)), int(rng.integers(cols)))
-        bit = int(rng.integers(10, 16))
-        corrupted[idx] = flip_bit(float(corrupted[idx]), bit, np.float16)
-        faulty_res = np.abs(abft.residuals(corrupted, checksums)) / reference
-        records.append(
-            {
-                "max_clean_residual": _peak_residual(clean_res),
-                "max_faulty_residual": _peak_residual(faulty_res),
-            }
-        )
-    return records
-
-
 # --------------------------------------------------------------------------- #
 # Figure 14 (left): SNVR detection / false-alarm rate vs relative threshold
 # --------------------------------------------------------------------------- #
@@ -372,46 +342,6 @@ def _snvr_detection_trial(rng: np.random.Generator, params: dict) -> dict:
         "max_clean_residual": _peak_residual(clean_dev),
         "max_faulty_residual": _peak_residual(faulty_dev),
     }
-
-
-@register_campaign_batch("snvr_detection_sweep")
-def _snvr_detection_batch(rngs: list, params: dict) -> list[dict]:
-    """Batched sweep trials: score GEMM, max and EXP stacked over trials."""
-    _require_thresholds(params)
-    rows = int(params.get("rows", 64))
-    cols = int(params.get("cols", 64))
-    depth = int(params.get("depth", 64))
-    stride = int(params.get("stride", 8))
-    cfg = AttentionConfig(seq_len=rows, head_dim=depth, checksum_stride=stride)
-    abft = StridedABFT(cfg)
-    scale = cfg.effective_scale
-
-    qs = np.stack([rng.standard_normal((rows, depth)).astype(np.float32) for rng in rngs])
-    ks = np.stack([rng.standard_normal((cols, depth)).astype(np.float32) for rng in rngs])
-    scores_batch = fp16_matmul(qs, ks.transpose(0, 2, 1)) * np.float32(scale)
-    row_max_batch = scores_batch.max(axis=2)
-    probs_batch = np.exp(scores_batch - row_max_batch[:, :, None]).astype(np.float32)
-
-    records = []
-    for t, rng in enumerate(rngs):
-        probs = probs_batch[t]
-        row_max = row_max_batch[t]
-        checksums = abft.score_block_checksums(qs[t], ks[t], scale)
-        p_check = exp_checksum_propagate(checksums.check1, row_max, checksums.class_counts)
-        clean_dev = np.abs(strided_products(probs, stride) - p_check) / np.abs(p_check)
-
-        corrupted = probs.copy()
-        idx = (int(rng.integers(rows)), int(rng.integers(cols)))
-        bit = int(rng.integers(8, 16))
-        corrupted[idx] = flip_bit(float(corrupted[idx]), bit, np.float16)
-        faulty_dev = np.abs(strided_products(corrupted, stride) - p_check) / np.abs(p_check)
-        records.append(
-            {
-                "max_clean_residual": _peak_residual(clean_dev),
-                "max_faulty_residual": _peak_residual(faulty_dev),
-            }
-        )
-    return records
 
 
 # --------------------------------------------------------------------------- #
@@ -520,95 +450,6 @@ def _restriction_trial(rng: np.random.Generator, params: dict) -> dict:
         corrected=int(rel_err < 0.02),
         output_rel_error=rel_err,
     ).to_dict()
-
-
-@register_campaign_batch("restriction_error_distribution")
-def _restriction_batch(rngs: list, params: dict) -> list[dict]:
-    """Batched restriction trials: the clean score / softmax / reference
-    pipeline is stacked over trials; the corruption, restriction and the
-    corrupted output GEMM stay per trial (they depend on the injected fault).
-    """
-    method = params.get("method", "selective")
-    if method not in ("selective", "traditional"):
-        raise ValueError("method must be 'selective' or 'traditional'")
-    seq_len = int(params.get("seq_len", 256))
-    head_dim = int(params.get("head_dim", 64))
-    block_size = int(params.get("block_size", 16))
-    peakedness = float(params.get("peakedness", 4.0))
-    n_blocks = -(-seq_len // block_size)
-
-    qs = np.stack([rng.standard_normal((seq_len, head_dim)).astype(np.float32) for rng in rngs])
-    ks = np.stack([rng.standard_normal((seq_len, head_dim)).astype(np.float32) for rng in rngs])
-    vs = np.stack([rng.standard_normal((seq_len, head_dim)).astype(np.float32) for rng in rngs])
-    scale = peakedness / np.sqrt(head_dim)
-    scores_batch = np.matmul(qs, ks.transpose(0, 2, 1)).astype(np.float32) * np.float32(scale)
-    row_max_batch = scores_batch.max(axis=2)
-    probs_batch = np.exp(scores_batch - row_max_batch[:, :, None]).astype(np.float32)
-    rowsum_batch = probs_batch.sum(axis=2)
-    reference_batch = np.matmul(probs_batch / rowsum_batch[:, :, None], vs)
-
-    records = []
-    for t, rng in enumerate(rngs):
-        scores, row_max = scores_batch[t], row_max_batch[t]
-        probs, rowsum = probs_batch[t], rowsum_batch[t]
-        v, reference = vs[t], reference_batch[t]
-
-        block_maxes = np.stack(
-            [scores[:, b * block_size : (b + 1) * block_size].max(axis=1) for b in range(n_blocks)],
-            axis=0,
-        )
-        lower_bound = np.exp(block_maxes - row_max[None, :]).sum(axis=0)
-
-        row = int(rng.integers(seq_len))
-        corrupt_numerator = bool(rng.integers(2))
-        corrupted_probs = probs.copy()
-        corrupted_rowsum = rowsum.copy()
-        detected = False
-        if corrupt_numerator:
-            col = int(rng.integers(seq_len))
-            bit = int(rng.integers(8, 16))
-            corrupted_probs[row, col] = flip_bit(float(probs[row, col]), bit, np.float16)
-            corrupted_rowsum = corrupted_probs.sum(axis=1)
-        else:
-            bit = int(rng.integers(18, 31))
-            corrupted_rowsum[row] = flip_bit(float(rowsum[row]), bit, np.float32)
-
-        if method == "selective":
-            if corrupt_numerator:
-                delta = np.abs(corrupted_probs[row] - probs[row])
-                if np.any(delta > 0.02 * max(float(probs[row].max()), 1e-6)):
-                    detected = True
-                    corrupted_probs[row] = probs[row]
-                    corrupted_rowsum = corrupted_probs.sum(axis=1)
-            else:
-                bad = (
-                    (corrupted_rowsum < lower_bound)
-                    | (corrupted_rowsum > seq_len)
-                    | ~np.isfinite(corrupted_rowsum)
-                )
-                detected = bool(bad[row])
-                corrupted_rowsum = np.where(bad, lower_bound, corrupted_rowsum)
-            normalised = corrupted_probs / corrupted_rowsum[:, None]
-        else:
-            raw = corrupted_probs / corrupted_rowsum[:, None]
-            normalised = np.clip(raw, 0.0, 1.0)
-            detected = bool(np.any(normalised != raw))
-
-        output = normalised @ v
-        denom = max(float(np.abs(reference[row]).max()), 1e-12)
-        abs_err = float(np.abs(output[row] - reference[row]).max())
-        if not np.isfinite(abs_err):
-            abs_err = 10.0 * denom
-        rel_err = min(abs_err / denom, 10.0)
-        records.append(
-            TrialOutcome(
-                injected=1,
-                detected=int(detected),
-                corrected=int(rel_err < 0.02),
-                output_rel_error=rel_err,
-            ).to_dict()
-        )
-    return records
 
 
 # --------------------------------------------------------------------------- #
@@ -745,13 +586,15 @@ class _SiteProbe:
     """Injector stand-in that counts injection opportunities per fault site.
 
     Duck-types the :class:`~repro.fault.injector.FaultInjector` surface the
-    kernels touch (``corrupt``, ``applied_count``, ``records``) but never
-    corrupts anything; one probed forward yields the exact number of
-    ``corrupt`` calls each site sees under a given scheme, which bounds the
-    ``occurrence`` draw so every planned fault actually lands.
+    kernels touch (``corrupt``, ``armed``, ``applied_count``, ``records``)
+    but never corrupts anything; one probed forward yields the exact number
+    of ``corrupt`` calls each site sees under a given scheme, which bounds
+    the ``occurrence`` draw so every planned fault actually lands.
     """
 
     applied_count = 0
+    #: Never disarms, so the trial router keeps offering it every site.
+    armed = True
 
     def __init__(self) -> None:
         from collections import Counter
@@ -993,7 +836,6 @@ def _transformer_inference_trial(rng: np.random.Generator, params: dict) -> dict
     return _transformer_outcome(output, clean_logits, len(injector.records), tol)
 
 
-# The batched transformer kernel lives in its own module (it pulls in the
-# whole model stack); importing it here attaches it to the registry entry
-# created above whenever the campaign kernels are loaded.
-from repro.fault import batched as _batched  # noqa: E402,F401  (registration side effect)
+# A chunk of transformer trials as one stacked model forward; the stacked
+# layers live in repro.fault.batched.
+register_campaign_batch("transformer_inference")(_transformer_inference_batch)

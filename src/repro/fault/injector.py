@@ -164,6 +164,37 @@ class FaultInjector:
         return applied_now
 
 
+class _BatchFaultRouter:
+    """Routes one stacked ``corrupt`` offer to every trial's own injector.
+
+    The kernels run over a leading *trial* axis; trial ``t`` owns slice
+    ``array[t]`` -- exactly the array a run of that trial alone offers -- so
+    each injector's element draws, occurrence counting and records do not
+    depend on the stack.  A scalar ``forward`` routes a stack of one.
+    """
+
+    def __init__(self, injectors: list):
+        # Offers only reach injectors that still have un-applied faults (a
+        # ``None`` entry is a fault-free trial): a drained injector's
+        # `corrupt` is a no-op by contract (applied pendings are skipped), so
+        # dropping it from the fan-out changes nothing while removing most of
+        # the per-offer Python cost (one planned fault per trial is the
+        # common case).
+        self._active = [
+            (t, inj) for t, inj in enumerate(injectors) if inj is not None and inj.armed
+        ]
+
+    def corrupt(self, site, array: np.ndarray, block=None) -> None:
+        if not self._active:
+            return
+        still_armed = []
+        for t, injector in self._active:
+            injector.corrupt(site, array[t], block)
+            if injector.armed:
+                still_armed.append((t, injector))
+        self._active = still_armed
+
+
 def inject_bit_errors(
     array: np.ndarray,
     bit_error_rate: float,

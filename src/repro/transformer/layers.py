@@ -10,8 +10,6 @@ an intra-thread strided accumulation.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.fault.injector import FaultInjector
@@ -20,32 +18,14 @@ from repro.fp.float16 import fp16_matmul
 from repro.gemm.checksum import ChecksumVerdict, encode_strided_row_checksums, verify_strided_checksums
 
 
-# Float32 constants for the opt-in fast GELU path.  In the default expression
-# ``np.sqrt(2.0 / np.pi)`` is a strong float64 scalar that silently promotes
-# the whole tanh chain (and the returned array) to float64 under NEP 50.
-_SQRT_2_OVER_PI = np.float32(np.sqrt(2.0 / np.pi))
-_GELU_CUBIC = np.float32(0.044715)
-
-
 def gelu(x: np.ndarray) -> np.ndarray:
     """Gaussian error linear unit (tanh approximation, as used by GPT-2/BERT).
 
-    The default evaluation is pinned bit-for-bit (it computes the tanh chain
-    in float64 and is part of the campaign byte-parity surface).  Setting the
-    environment variable ``REPRO_NUMERICS=fast`` opts into a float32-pure
-    evaluation of the same approximation -- roughly half the memory traffic
-    -- whose results differ from the default in the low bits.
+    The evaluation is pinned bit-for-bit (it computes the tanh chain in
+    float64 and is part of the campaign byte-parity surface).
     """
-    mode = os.environ.get("REPRO_NUMERICS", "")
     x = np.asarray(x, dtype=np.float32)
-    if mode in ("", "exact"):
-        return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
-    if mode == "fast":
-        inner = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * (x * x * x))
-        return np.float32(0.5) * x * (np.float32(1.0) + np.tanh(inner))
-    raise ValueError(
-        f"unknown REPRO_NUMERICS mode {mode!r}; expected '', 'exact' or 'fast'"
-    )
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
 
 
 def relu(x: np.ndarray) -> np.ndarray:

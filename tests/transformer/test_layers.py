@@ -26,10 +26,9 @@ class TestActivations:
 
 
 class TestNumericsMode:
-    """The REPRO_NUMERICS knob: default pinned bit-for-bit, fast opt-in."""
+    """The GELU evaluation is pinned bit-for-bit."""
 
-    def test_default_matches_pinned_expression(self, rng, monkeypatch):
-        monkeypatch.delenv("REPRO_NUMERICS", raising=False)
+    def test_default_matches_pinned_expression(self, rng):
         x = rng.standard_normal(257).astype(np.float32) * 5.0
         # The historical default evaluation, spelled out verbatim: the tanh
         # chain promotes to float64 via the strong np.sqrt scalar.  The
@@ -38,27 +37,6 @@ class TestNumericsMode:
         got = gelu(x)
         assert got.dtype == expected.dtype
         np.testing.assert_array_equal(got, expected)
-
-    def test_exact_mode_is_the_default(self, rng, monkeypatch):
-        x = rng.standard_normal(64).astype(np.float32)
-        monkeypatch.delenv("REPRO_NUMERICS", raising=False)
-        default = gelu(x)
-        monkeypatch.setenv("REPRO_NUMERICS", "exact")
-        np.testing.assert_array_equal(gelu(x), default)
-
-    def test_fast_mode_is_float32_pure_and_close(self, rng, monkeypatch):
-        x = rng.standard_normal(257).astype(np.float32) * 5.0
-        monkeypatch.delenv("REPRO_NUMERICS", raising=False)
-        default = gelu(x)
-        monkeypatch.setenv("REPRO_NUMERICS", "fast")
-        fast = gelu(x)
-        assert fast.dtype == np.float32
-        np.testing.assert_allclose(fast, default, rtol=1e-5, atol=1e-6)
-
-    def test_unknown_mode_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMERICS", "turbo")
-        with pytest.raises(ValueError, match="REPRO_NUMERICS"):
-            gelu(np.zeros(4, dtype=np.float32))
 
 
 class TestLayerNorm:
