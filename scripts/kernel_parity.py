@@ -1,0 +1,156 @@
+"""Digest the output bytes of the attention kernels and a transformer campaign.
+
+Prints one ``<check> <count> <sha256>`` line per check, so two checkouts can be
+compared bit for bit:
+
+* ``kernels`` -- ``forward`` of every protection scheme at every fault site it
+  executes (none/efta/efta_unified: the seven fused sites; decoupled: gemm_qk,
+  softmax, gemm_pv) under five fault models (seu, stuck_at_1, intermittent,
+  multi_bit_burst, row_line), on two ragged shapes (seq 40 / dim 16 /
+  block 16 and seq 23 / dim 8 / block 8) with one and two heads, plus a clean
+  call per scheme and shape: 976 calls.  Each call's output, its five report
+  counters and its injection records are hashed.
+* ``campaign-transformer`` -- one ``run_experiment`` run of the transformer
+  fault campaign of perfbench's ``campaign-transformer`` workload (seed 0,
+  serial executor, jsonl store), hashed through the store's canonical export.
+  The count is the number of trials.
+
+The script imports only public entry points of ``repro``, so it runs against
+older trees too.  To compare a change with its base, run this file once per
+checkout with that checkout's sources on the path and diff the output::
+
+    PYTHONPATH=src python scripts/kernel_parity.py > head.txt
+    PYTHONPATH=../base/src python scripts/kernel_parity.py > base.txt
+    diff base.txt head.txt
+
+The digests depend on NumPy, the BLAS library and the CPU, so only runs on
+the same machine and environment are comparable.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+from repro.core.config import AttentionConfig
+from repro.core.schemes import build_scheme
+from repro.fault.injector import FaultInjector
+from repro.fault.models import FaultSpec
+
+FUSED_SITES = (
+    "gemm_qk", "reduce_max", "subtract_exp", "reduce_sum", "rescale", "gemm_pv", "normalize",
+)
+SCHEME_SITES = {
+    "none": FUSED_SITES,
+    "efta": FUSED_SITES,
+    "efta_unified": FUSED_SITES,
+    "decoupled": ("gemm_qk", "softmax", "gemm_pv"),
+}
+FAULT_MODELS = {
+    "seu": {},
+    "stuck_at_1": {},
+    "intermittent": {"p": 0.5},
+    "multi_bit_burst": {"burst_len": 3},
+    "row_line": {},
+}
+#: (seq_len, head_dim, block_size): both ragged (seq not a multiple of block).
+SHAPES = ((40, 16, 16), (23, 8, 8))
+HEADS = ((), (2,))
+REPORT_COUNTERS = ("detections", "corrections", "recomputations", "restorations", "uncorrectable")
+
+#: The ``campaign-transformer`` workload's spec at perfbench's default seed.
+CAMPAIGN_SPEC = {
+    "campaign": "transformer_inference",
+    "n_trials": 16,
+    "seed": 0,
+    "params": {"model": "GPT2", "hidden_dim": 64, "seq_len": 64, "bits": [12, 13]},
+    "grid": {
+        "scheme": ["none", "efta_unified", "decoupled"],
+        "site": ["linear", "gemm_qk", "gemm_pv"],
+    },
+}
+
+
+def _kernel_calls():
+    """(shape, heads, scheme, plan) of every call; ``plan`` is None or (site, model, variant)."""
+    for shape in SHAPES:
+        for heads in HEADS:
+            for scheme, sites in SCHEME_SITES.items():
+                plans = [None] + [
+                    (site, model, variant)
+                    for site in sites
+                    for model in FAULT_MODELS
+                    for variant in (0, 1)
+                ]
+                for plan in plans:
+                    yield shape, heads, scheme, plan
+
+
+def kernel_digest() -> tuple[int, str]:
+    """Digest of every scheme's ``forward`` over the site x fault-model matrix."""
+    digest = hashlib.sha256()
+    calls = 0
+    for (seq, dim, block), heads, scheme, plan in _kernel_calls():
+        # Inputs depend only on the shape, the head count and the variant, so
+        # every scheme and site of a variant sees the same q, k, v.
+        rng = np.random.default_rng([seq, len(heads), plan[2] if plan else 9])
+        q, k, v = (rng.standard_normal(heads + (seq, dim)).astype(np.float32) for _ in range(3))
+        injector = None
+        if plan is not None:
+            site, model, _ = plan
+            spec = FaultSpec(
+                site=site,
+                bit=int(rng.integers(8, 15)),
+                dtype="fp16",
+                occurrence=int(rng.integers(3)),
+                fault_model=model,
+                model_params=FAULT_MODELS[model],
+            )
+            injector = FaultInjector(specs=[spec], seed=int(rng.integers(2**31)))
+        attention = build_scheme(scheme, AttentionConfig(seq, dim, block_size=block))
+        out, report = attention.forward(q, k, v, injector)
+        digest.update(np.ascontiguousarray(out).tobytes())
+        summary = {name: sorted(getattr(report, name).items()) for name in REPORT_COUNTERS}
+        summary["injected"] = [dataclasses.asdict(record) for record in report.injected]
+        digest.update(json.dumps(summary, sort_keys=True, default=str).encode())
+        calls += 1
+    return calls, digest.hexdigest()
+
+
+def campaign_digest() -> tuple[int, str]:
+    """Digest of the ``campaign-transformer`` spec's canonical results."""
+    from repro.exec import run_experiment
+    from repro.store import open_store
+
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results"
+        result = run_experiment(CAMPAIGN_SPEC, executor="serial", results_path=path, store="jsonl")
+        store = open_store(path)
+        try:
+            for index in range(len(result.points)):
+                digest.update(store.export_canonical(index))
+        finally:
+            store.close()
+    trials = sum(len(point.records.records) for point in result.points)
+    return trials, digest.hexdigest()
+
+
+def main() -> int:
+    # The fp16 casts overflow by design (faults flip exponent bits).
+    warnings.simplefilter("ignore", RuntimeWarning)
+    for name, check in (("kernels", kernel_digest), ("campaign-transformer", campaign_digest)):
+        count, hexdigest = check()
+        print(name, count, hexdigest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.attention.softmax import OnlineSoftmaxState
 from repro.attention.tiling import partition_blocks
-from repro.fp.float16 import fp16_matmul
+from repro.fp.float16 import FP16Operand, fp16_matmul
 
 
 def _flash_single(
@@ -60,25 +60,31 @@ def _flash_stacked(
     Mirrors :meth:`OnlineSoftmaxState.update` / ``finalize`` step for step with
     a leading group axis; every op is either elementwise, a last-axis
     reduction, or a stacked GEMM, all of which NumPy evaluates identically to
-    the per-slice forms.
+    the per-slice forms.  With ``mixed_precision`` the score GEMM's operands
+    are rounded to FP16 once each: ``K^T`` up front (viewed per column block),
+    ``Q_i`` per row block.
     """
     groups, seq_len, head_dim = q.shape
     kv_len = k.shape[1]
+    k_t = k.transpose(0, 2, 1)
+    if mixed_precision:
+        k_t = FP16Operand(k_t)
+        matmul = fp16_matmul
+    else:
+        # Operands are float32 at entry, so the product already is too.
+        matmul = np.matmul
     out = np.empty((groups, seq_len, head_dim), dtype=np.float32)
     for row_blk in partition_blocks(seq_len, block_size):
         q_i = q[:, row_blk]
+        if mixed_precision:
+            q_i = FP16Operand(q_i)
         rows = q_i.shape[1]
         row_max = np.full((groups, rows), -np.inf, dtype=np.float32)
         row_sum = np.zeros((groups, rows), dtype=np.float32)
         acc = np.zeros((groups, rows, head_dim), dtype=np.float32)
         for col_blk in partition_blocks(kv_len, block_size):
-            k_j = k[:, col_blk]
             v_j = v[:, col_blk]
-            if mixed_precision:
-                scores = fp16_matmul(q_i, k_j.transpose(0, 2, 1)) * np.float32(scale)
-            else:
-                # Operands are float32 at entry, so the product already is too.
-                scores = np.matmul(q_i, k_j.transpose(0, 2, 1)) * np.float32(scale)
+            scores = matmul(q_i, k_t[..., col_blk]) * np.float32(scale)
             local_max = scores.max(axis=2)
             new_max = np.maximum(row_max, local_max)
             # Everything below stays float32 without casts: the inputs are

@@ -38,7 +38,7 @@ from repro.core.stacked import forward_one_trial, forward_stacked
 from repro.core.strided_abft import BlockChecksums, StridedABFT
 from repro.fault.injector import FaultInjector
 from repro.fault.models import FaultSite
-from repro.fp.float16 import fp16_matmul
+from repro.fp.float16 import FP16Operand, fp16_matmul
 from repro.hardware.costmodel import AttentionCostModel, AttentionWorkload, CostBreakdown
 from repro.hardware.specs import A100_PCIE_40GB, GPUSpec
 
@@ -139,21 +139,45 @@ class EFTAttention:
         GEMM's row dimension (a fused 2D GEMM can pick a different kernel
         blocking and drift in the last bits); reductions stay on the last
         axis; every trial's injector sees the offer sequence of a lone run.
+
+        Round-once rule: every GEMM operand is rounded to FP16 once, where it
+        is produced, and reused by each product that reads it (an
+        :class:`~repro.fp.float16.FP16Operand`), as the fused kernel's MMAs
+        reuse a loaded tile.  Before the row loop: ``K^T`` and ``V`` (viewed
+        per column block), and per column block the key checksums and
+        ``V_j``'s three checksums.  Per row block: ``Q_i``.  Per tile:
+        ``P_ij``, after the EXP-stage repair.  Rounding keeps each view's
+        memory order, and NumPy runs one BLAS call per trial on the same
+        values in the same order, so the products are bitwise those of
+        rounding inside every call.
         """
         cfg = self.config
         scale = cfg.effective_scale
         stride = cfg.checksum_stride
         trials, seq_len, head_dim = q.shape
+        k_len = k.shape[1]
         out = np.empty((trials, seq_len, head_dim), dtype=np.float32)
 
-        v_checks = []
-        v_abs_c1 = []
-        for col_blk in partition_blocks(k.shape[1], cfg.block_size):
-            v_checks.append(self.abft.encode_value_checksums(v[:, col_blk]))
-            v_abs_c1.append(self.abft.encode_value_checksums(np.abs(v[:, col_blk]))[0])
+        # Per column block: (K_j^T, key checksums) and (V_j, V_j's checksums
+        # c1 and c2, the c1 fold of |V_j| that sizes the output threshold).
+        # K^T and V are rounded whole and viewed per block, which keeps fewer,
+        # larger arrays alive through the row loop than rounding each block.
+        k_t = FP16Operand(np.swapaxes(k, -1, -2))
+        v16 = FP16Operand(v)
+        keys = []
+        values = []
+        for col_blk in partition_blocks(k_len, cfg.block_size):
+            k_j = k[:, col_blk]
+            v_j = v[:, col_blk]
+            keys.append((k_t[..., col_blk], self.abft.key_block_checksums(k_j)))
+            v_c1, v_c2 = self.abft.encode_value_checksums(v_j)
+            v_abs_c1 = self.abft.encode_value_checksums(np.abs(v_j))[0]
+            values.append(
+                (v16[:, col_blk],) + tuple(FP16Operand(x) for x in (v_c1, v_c2, v_abs_c1))
+            )
 
         for i, row_blk in enumerate(partition_blocks(seq_len, cfg.block_size)):
-            q_i = q[:, row_blk]
+            q_i = FP16Operand(q[:, row_blk])
             rows = q_i.shape[1]
             row_max = np.full((trials, rows), -np.inf, dtype=np.float32)
             row_sum = np.zeros((trials, rows), dtype=np.float32)
@@ -163,15 +187,13 @@ class EFTAttention:
             acc_mag = np.zeros((trials, rows, stride), dtype=np.float32)
             block_maxes: list[np.ndarray] = []
 
-            for j, col_blk in enumerate(partition_blocks(k.shape[1], cfg.block_size)):
-                k_j = k[:, col_blk]
-                v_j = v[:, col_blk]
+            for j, ((k_tj, key_chk), (v_j, v_c1, v_c2, v_abs_c1)) in enumerate(
+                zip(keys, values)
+            ):
                 block = (i, j)
 
-                score_chk = self.abft.score_block_checksums(q_i, k_j, scale)
-                v_c1, v_c2 = v_checks[j]
-
-                scores = fp16_matmul(q_i, np.swapaxes(k_j, -1, -2)) * np.float32(scale)
+                score_chk = self.abft.score_checksums(q_i, key_chk, scale)
+                scores = fp16_matmul(q_i, k_tj) * np.float32(scale)
                 router.corrupt(FaultSite.GEMM_QK, scores, block=block)
 
                 local_max = scores.max(axis=-1)
@@ -192,18 +214,20 @@ class EFTAttention:
                 router.corrupt(FaultSite.REDUCE_SUM, new_sum, block=block)
                 block_maxes.append(local_max)
                 if not self.unified_verification:
+                    attended = min((j + 1) * cfg.block_size, k_len)
                     new_sum = self._restrict_rowsum_stacked(
-                        new_sum, block_maxes, new_max, (j + 1) * cfg.block_size, reports
+                        new_sum, block_maxes, new_max, attended, reports
                     )
                 row_sum = new_sum
 
                 acc_scaled = rescale[..., None] * acc
                 router.corrupt(FaultSite.RESCALE, acc_scaled, block=block)
-                acc = acc_scaled + fp16_matmul(probs, v_j)
+                p_ij = FP16Operand(probs)
+                acc = acc_scaled + fp16_matmul(p_ij, v_j)
                 router.corrupt(FaultSite.GEMM_PV, acc, block=block)
-                acc_c1 = rescale[..., None] * acc_c1 + fp16_matmul(probs, v_c1)
-                acc_c2 = rescale[..., None] * acc_c2 + fp16_matmul(probs, v_c2)
-                acc_mag = rescale[..., None] * acc_mag + fp16_matmul(probs, v_abs_c1[j])
+                acc_c1 = rescale[..., None] * acc_c1 + fp16_matmul(p_ij, v_c1)
+                acc_c2 = rescale[..., None] * acc_c2 + fp16_matmul(p_ij, v_c2)
+                acc_mag = rescale[..., None] * acc_mag + fp16_matmul(p_ij, v_abs_c1)
 
                 if not self.unified_verification:
                     verdicts = self.abft.verify_output_stacked(
@@ -214,7 +238,7 @@ class EFTAttention:
                 row_max = new_max
 
             row_sum = self._restrict_rowsum_stacked(
-                row_sum, block_maxes, row_max, k.shape[1], reports
+                row_sum, block_maxes, row_max, k_len, reports
             )
 
             denom = np.where(row_sum > 0.0, row_sum, 1.0).astype(np.float32)
@@ -360,13 +384,17 @@ class EFTAttention:
         attended_positions: int,
         reports: list[FaultToleranceReport],
     ) -> np.ndarray:
-        """SNVR case 3 over the trial stack; counts recorded per trial."""
+        """SNVR case 3 over the trial stack; counts recorded per trial.
+
+        The normaliser is a sum of one exponential at most 1 per key position
+        attended so far, so ``attended_positions`` -- not the configured
+        sequence length, which the key count may exceed -- bounds it above.
+        """
         if not block_maxes:
             return row_sum
         stacked = np.stack(block_maxes, axis=0)
         lower = np.exp(stacked - row_max[None, ...]).sum(axis=0).astype(np.float32)
-        upper = float(min(attended_positions, self.config.seq_len))
-        restricted, counts = restrict_rowsum_stacked(row_sum, lower, upper)
+        restricted, counts = restrict_rowsum_stacked(row_sum, lower, float(attended_positions))
         for report, count in zip(reports, counts):
             n_restored = int(count)
             if n_restored:

@@ -39,7 +39,7 @@ from repro.core.efta_optimized import EFTAttentionOptimized
 from repro.core.stacked import forward_one_trial, forward_stacked
 from repro.fault.injector import FaultInjector
 from repro.fault.models import FaultSite
-from repro.fp.float16 import fp16_matmul
+from repro.fp.float16 import FP16Operand, fp16_matmul
 from repro.hardware.costmodel import AttentionCostModel, AttentionWorkload, CostBreakdown
 from repro.hardware.kernel import KernelLedger
 from repro.hardware.specs import A100_PCIE_40GB, GPUSpec
@@ -227,17 +227,19 @@ class UnprotectedAttention(ProtectionScheme):
         scale = np.float32(cfg.effective_scale)
         trials, seq_len, head_dim = q.shape
         out = np.empty((trials, seq_len, head_dim), dtype=np.float32)
+        # The score GEMM's operands are rounded to FP16 once: K^T here (viewed
+        # per column block), Q_i per row block below.
+        k_t = FP16Operand(np.swapaxes(k, -1, -2))
         for i, row_blk in enumerate(partition_blocks(seq_len, cfg.block_size)):
-            q_i = q[:, row_blk]
+            q_i = FP16Operand(q[:, row_blk])
             rows = q_i.shape[1]
             row_max = np.full((trials, rows), -np.inf, dtype=np.float32)
             row_sum = np.zeros((trials, rows), dtype=np.float32)
             acc = np.zeros((trials, rows, head_dim), dtype=np.float32)
             for j, col_blk in enumerate(partition_blocks(k.shape[1], cfg.block_size)):
-                k_j = k[:, col_blk]
                 v_j = v[:, col_blk]
                 block = (i, j)
-                scores = fp16_matmul(q_i, np.swapaxes(k_j, -1, -2)) * scale
+                scores = fp16_matmul(q_i, k_t[..., col_blk]) * scale
                 router.corrupt(FaultSite.GEMM_QK, scores, block=block)
                 local_max = scores.max(axis=-1)
                 new_max = np.maximum(row_max, local_max)

@@ -6,7 +6,10 @@ the fused EFTA kernel:
 * the key block's transpose is folded along its column dimension at the
   layout's same-thread stride (8), yielding two ``d x 8`` tensor checksums;
 * multiplying the query block with those checksums during GEMM I yields the
-  score block's ``B x 8`` checksums "for free" (Equations 14-15);
+  score block's ``B x 8`` checksums "for free" (Equations 14-15); the key
+  checksums are rounded to FP16 once per key block
+  (:meth:`StridedABFT.key_block_checksums`) and reused by every query block
+  (:meth:`StridedABFT.score_checksums`);
 * the value block is folded along the head dimension the same way, so GEMM II
   accumulates the output checksums alongside the output;
 * verification is a strided re-accumulation plus a comparison, and a single
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import AttentionConfig
-from repro.fp.float16 import fp16_matmul
+from repro.fp.float16 import FP16Operand, fp16_matmul
 from repro.gemm.checksum import (
     ChecksumVerdict,
     encode_strided_row_checksums,
@@ -46,6 +49,19 @@ def stride_class_counts(cols: int, stride: int) -> np.ndarray:
     counts[:] = full
     counts[:rem] += 1
     return counts
+
+
+@dataclass(frozen=True)
+class KeyChecksums:
+    """A key block's two strided checksums, rounded to FP16 once, and its class counts.
+
+    Built by :meth:`StridedABFT.key_block_checksums` once per key block; every
+    query block's :meth:`StridedABFT.score_checksums` reuses it.
+    """
+
+    check1: FP16Operand
+    check2: FP16Operand
+    class_counts: np.ndarray
 
 
 @dataclass
@@ -92,15 +108,41 @@ class StridedABFT:
         """
         return encode_strided_row_checksums(np.asarray(v_block), self.stride)
 
+    def key_block_checksums(self, k_block: np.ndarray) -> KeyChecksums:
+        """Encode ``K_j^T``'s checksums and round them to FP16, once per key block.
+
+        The encoding runs on the unrounded ``(..., B_c, d)`` block, as the
+        checksum GEMM's operand has always been produced; only the result is
+        rounded, so each of the two checksum products reuses it.
+        """
+        check1, check2 = self.encode_key_checksums(k_block)
+        counts = stride_class_counts(int(np.asarray(k_block).shape[-2]), self.stride)
+        return KeyChecksums(FP16Operand(check1), FP16Operand(check2), counts)
+
+    def score_checksums(
+        self, q_block: np.ndarray | FP16Operand, key: KeyChecksums, scale: float
+    ) -> BlockChecksums:
+        """The score block's checksums: ``Q_i`` times the key block's checksums.
+
+        These are the two checksum products that ride beside GEMM I
+        (Equations 14-15).  ``q_block`` may be an :class:`FP16Operand` so the
+        fused kernel rounds each query block once for GEMM I and both
+        products.
+        """
+        s_c1 = fp16_matmul(q_block, key.check1) * np.float32(scale)
+        s_c2 = fp16_matmul(q_block, key.check2) * np.float32(scale)
+        return BlockChecksums(check1=s_c1, check2=s_c2, class_counts=key.class_counts)
+
     def score_block_checksums(
         self, q_block: np.ndarray, k_block: np.ndarray, scale: float
     ) -> BlockChecksums:
-        """Encode K and produce the score block's checksums in one call."""
-        k_check1, k_check2 = self.encode_key_checksums(k_block)
-        s_c1 = fp16_matmul(q_block, k_check1) * np.float32(scale)
-        s_c2 = fp16_matmul(q_block, k_check2) * np.float32(scale)
-        counts = stride_class_counts(int(np.asarray(k_block).shape[-2]), self.stride)
-        return BlockChecksums(check1=s_c1, check2=s_c2, class_counts=counts)
+        """Encode K and produce the score block's checksums in one call.
+
+        For one-shot callers with a single (query, key) block pair: it is
+        :meth:`key_block_checksums` followed by :meth:`score_checksums`.  A
+        kernel looping over query blocks hoists the key encoding instead.
+        """
+        return self.score_checksums(q_block, self.key_block_checksums(k_block), scale)
 
     # ------------------------------------------------------------------ #
     # Verification

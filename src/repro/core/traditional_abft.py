@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fp.float16 import fp16_matmul
+from repro.fp.float16 import FP16Operand, fp16_matmul
 from repro.gemm.checksum import (
     ChecksumVerdict,
     encode_column_checksums,
@@ -86,6 +86,11 @@ def protected_matmul_stacked(
     trial.  ``router`` fans the single post-GEMM ``corrupt`` offer out to
     each trial's injector on its slice.  :func:`protected_matmul` is this at
     a trial axis of one.
+
+    With ``mixed_precision`` each operand is rounded to FP16 once
+    (:class:`~repro.fp.float16.FP16Operand`) and read by the product and,
+    through per-trial views, by its two checksum products.  The checksum
+    vectors are encoded from the unrounded operands.
     """
     a = np.asarray(a, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32)
@@ -95,8 +100,9 @@ def protected_matmul_stacked(
         raise ValueError(f"stacked dimensions disagree: {a.shape} @ {b.shape}")
 
     matmul = fp16_matmul if mixed_precision else lambda x, y: np.matmul(x, y).astype(np.float32)
+    a_op, b_op = (FP16Operand(a), FP16Operand(b)) if mixed_precision else (a, b)
 
-    c = matmul(a, b) * np.float32(scale)
+    c = matmul(a_op, b_op) * np.float32(scale)
     # The checksum vectors depend on the per-trial operands; encoding and the
     # (1 x k) / (k x 1) checksum products run per trial on slice views,
     # before the corrupt offer (they ride alongside the original GEMM).
@@ -106,10 +112,10 @@ def protected_matmul_stacked(
         br1, br2 = encode_row_checksums(b[t])
         checks.append(
             (
-                matmul(ca1[None, :], b[t])[0] * np.float32(scale),
-                matmul(ca2[None, :], b[t])[0] * np.float32(scale),
-                matmul(a[t], br1[:, None])[:, 0] * np.float32(scale),
-                matmul(a[t], br2[:, None])[:, 0] * np.float32(scale),
+                matmul(ca1[None, :], b_op[t])[0] * np.float32(scale),
+                matmul(ca2[None, :], b_op[t])[0] * np.float32(scale),
+                matmul(a_op[t], br1[:, None])[:, 0] * np.float32(scale),
+                matmul(a_op[t], br2[:, None])[:, 0] * np.float32(scale),
             )
         )
 

@@ -47,7 +47,7 @@ from repro.attention.flash import flash_attention
 from repro.attention.tiling import merge_heads, split_heads
 from repro.core.config import FaultToleranceReport
 from repro.fault.injector import _BatchFaultRouter
-from repro.fp.float16 import fp16_matmul
+from repro.fp.float16 import FP16Operand, fp16_matmul
 
 
 # --------------------------------------------------------------------------- #
@@ -90,13 +90,15 @@ def _linear_batched(layer, x: np.ndarray, router: _BatchFaultRouter, protected: 
     the checksum GEMMs run stacked too and the strided verification detects
     once over the stack, repairing flagged trials through slice views exactly
     like the scalar routine (verification happens before the bias add, as in
-    the scalar layer).  Returns ``(y, verdicts)`` with one verdict per trial,
-    or ``verdicts=None`` when unprotected.
+    the scalar layer).  As there, the float32 input is rounded to FP16 once
+    for all three GEMMs and the weight on every call.  Returns ``(y,
+    verdicts)`` with one verdict per trial, or ``verdicts=None`` when
+    unprotected.
     """
     from repro.fault.models import FaultSite
     from repro.gemm.checksum import verify_strided_checksums_stacked
 
-    x = np.asarray(x, dtype=np.float32)
+    x = FP16Operand(np.asarray(x, dtype=np.float32))
     y = fp16_matmul(x, layer.weight)
     router.corrupt(FaultSite.LINEAR, y)
     verdicts = None

@@ -5,7 +5,8 @@ single-precision (FP32) accumulation.  Soft errors are modelled as bit flips
 inside those representations.  This package provides:
 
 * :mod:`repro.fp.float16` -- mixed-precision helpers that mimic the Tensor
-  Core behaviour (FP16 operands, FP32 accumulate) on top of NumPy.
+  Core behaviour (FP16 operands, FP32 accumulate) on top of NumPy, and
+  :class:`~repro.fp.float16.FP16Operand`, an operand rounded to FP16 once.
 * :mod:`repro.fp.bitflip` -- bit-level views of FP16/FP32 values and the
   bit-flip primitives used by the fault injector.
 """
@@ -13,6 +14,7 @@ inside those representations.  This package provides:
 from repro.fp.float16 import (
     FP16_MAX,
     FP16_MIN_NORMAL,
+    FP16Operand,
     fp16_matmul,
     fp16_quantize,
     machine_epsilon,
@@ -30,6 +32,7 @@ from repro.fp.bitflip import (
 __all__ = [
     "FP16_MAX",
     "FP16_MIN_NORMAL",
+    "FP16Operand",
     "fp16_matmul",
     "fp16_quantize",
     "machine_epsilon",

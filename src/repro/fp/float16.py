@@ -5,6 +5,11 @@ multiplies two half-precision tiles and accumulates the products in single
 precision.  The helpers here reproduce that numerical behaviour with NumPy so
 that checksum round-off (the source of false alarms in Figures 12 and 14)
 matches what a Tensor Core would produce to first order.
+
+A Tensor Core loads each FP16 tile once and reuses it for every MMA that
+reads it.  :class:`FP16Operand` is that tile: an operand rounded through FP16
+once, which :func:`fp16_matmul` then takes as either operand without rounding
+it again.
 """
 
 from __future__ import annotations
@@ -42,24 +47,96 @@ def machine_epsilon(dtype: np.dtype | type = np.float16) -> float:
     return float(np.finfo(dtype).eps)
 
 
-def fp16_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+class FP16Operand:
+    """A GEMM operand rounded through FP16 once, held as read-only float32.
+
+    ``FP16Operand(x)`` is the only way to build one, and it always rounds:
+    the values are :func:`fp16_quantize` of ``x`` (``x``'s dtype -> float16
+    -> float32, in ``x``'s memory order), so an operand can never hold values
+    FP16 cannot represent.  Rounding is idempotent -- every FP16 bit pattern
+    (NaN payloads, subnormals, signed zeros and infinities included) widened
+    to float32 comes back bit-identical -- so wrapping an operand again
+    returns the same values without another round trip.
+
+    Pass it to :func:`fp16_matmul` in place of the array it was built from
+    whenever that array feeds more than one GEMM: the products are bitwise
+    the ones the plain array gives, because they multiply the same float32
+    values in the same memory order.  Build it from a view in the order the
+    products would otherwise receive (``np.swapaxes(k, -1, -2)``, not ``k``):
+    rounding keeps that order, and the order of each matrix decides which
+    BLAS call runs.  Callers that round a floating type wider than float32
+    must cast to float32 first when the plain path does, since float64 ->
+    FP16 and float64 -> float32 -> FP16 can differ.
+
+    Basic indexing (integers, slices, ``...``, ``None``) returns another
+    operand viewing the same values in the same order, for per-trial and
+    per-block views.
+    There is no arithmetic: NumPy operators and ufuncs refuse the type, so
+    the rounded values are only ever read by :func:`fp16_matmul`.
+    """
+
+    __slots__ = ("_values",)
+    #: Make ``array + operand`` and every other ufunc raise ``TypeError``.
+    __array_ufunc__ = None
+
+    def __init__(self, x: "np.ndarray | float | FP16Operand"):
+        if isinstance(x, FP16Operand):
+            values = x._values
+        else:
+            values = fp16_quantize(x)
+            values.flags.writeable = False
+        object.__setattr__(self, "_values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FP16Operand is immutable")
+
+    @property
+    def values(self) -> np.ndarray:
+        """The rounded values: a read-only float32 array."""
+        return self._values
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._values.shape
+
+    def __getitem__(self, index) -> "FP16Operand":
+        items = index if isinstance(index, tuple) else (index,)
+        for item in items:
+            basic = item is None or item is Ellipsis or isinstance(item, (slice, int, np.integer))
+            if not basic or isinstance(item, (bool, np.bool_)):
+                raise TypeError(
+                    "FP16Operand supports basic indexing only (integers, slices, ..., None)"
+                )
+        view = object.__new__(FP16Operand)
+        object.__setattr__(view, "_values", self._values[index])
+        return view
+
+
+def _rounded(x) -> np.ndarray:
+    """``x`` rounded through FP16 as float32, reusing an operand's rounding."""
+    return x.values if isinstance(x, FP16Operand) else fp16_quantize(x)
+
+
+def fp16_matmul(a, b) -> np.ndarray:
     """Multiply ``a @ b`` the way a Tensor Core MMA does.
 
     Operands are quantized to FP16; the multiply-accumulate is carried out in
     FP32 and the result is returned in FP32 (the paper keeps the accumulator
-    and the final attention output in FP32 before the final store).
+    and the final attention output in FP32 before the final store).  This is
+    the one product every kernel calls.
 
     Parameters
     ----------
     a, b:
         Arrays whose trailing two dimensions are multiplied.  Batched inputs
-        (any number of leading dimensions) are supported.
+        (any number of leading dimensions) are supported.  Either operand may
+        be an :class:`FP16Operand`, which is used as already rounded; a plain
+        array is rounded here, on every call.  The product is bitwise the
+        same either way.
 
     Returns
     -------
     np.ndarray
         ``a @ b`` with float32 dtype.
     """
-    a16 = np.asarray(a, dtype=np.float16).astype(np.float32)
-    b16 = np.asarray(b, dtype=np.float16).astype(np.float32)
-    return np.matmul(a16, b16, dtype=np.float32)
+    return np.matmul(_rounded(a), _rounded(b), dtype=np.float32)

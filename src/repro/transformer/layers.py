@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.fault.injector import FaultInjector
 from repro.fault.models import FaultSite
-from repro.fp.float16 import fp16_matmul
+from repro.fp.float16 import FP16Operand, fp16_matmul
 from repro.gemm.checksum import ChecksumVerdict, encode_strided_row_checksums, verify_strided_checksums
 
 
@@ -108,10 +108,15 @@ class ProtectedLinear:
         injector: FaultInjector | None = None,
         protected: bool = True,
     ) -> np.ndarray:
-        """Apply the layer to ``x`` of shape ``(..., in_dim)``."""
+        """Apply the layer to ``x`` of shape ``(..., in_dim)``.
+
+        The input is cast to float32 and then rounded to FP16 once for the
+        product and both checksum GEMMs.  The weight is rounded on every
+        call, never cached: an at-rest fault flips it in place between calls.
+        """
         x = np.asarray(x, dtype=np.float32)
         lead = x.shape[:-1]
-        x2 = x.reshape(-1, self.in_dim)
+        x2 = FP16Operand(x.reshape(-1, self.in_dim))
         y = fp16_matmul(x2, self.weight)
         if injector is not None:
             injector.corrupt(FaultSite.LINEAR, y)

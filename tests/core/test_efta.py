@@ -45,6 +45,17 @@ class TestCleanCorrectness:
         np.testing.assert_allclose(out, standard_attention(q, k, v), rtol=5e-3, atol=5e-3)
         assert report.clean
 
+    def test_more_keys_than_configured_seq_len(self, efta_cls, rng):
+        # 256 key/value rows against a configured seq_len of 64: the rowsum's
+        # upper bound is the number of keys attended so far, not seq_len.
+        q = rng.standard_normal((64, 16)).astype(np.float32)
+        k = rng.standard_normal((256, 16)).astype(np.float32)
+        v = rng.standard_normal((256, 16)).astype(np.float32)
+        out, report = efta_cls(AttentionConfig(64, 16, block_size=16))(q, k, v)
+        assert report.clean, report.summary()
+        expected = standard_attention(q, k, v, mixed_precision=True)
+        np.testing.assert_allclose(out, expected, rtol=5e-3, atol=5e-3)
+
     def test_no_false_alarms_across_seeds(self, efta_cls, small_config):
         # Fault-free runs must never raise alarms at the calibrated thresholds.
         for seed in range(5):

@@ -6,6 +6,7 @@ import pytest
 from repro.core.schemes import available_schemes
 from repro.fault.injector import FaultInjector
 from repro.fault.models import FaultSite, FaultSpec
+from repro.fp.bitflip import flip_bit
 from repro.transformer.configs import (
     BERT_BASE,
     BERT_LARGE,
@@ -134,6 +135,27 @@ class TestTransformerModel:
         injector = FaultInjector(specs=specs, seed=9)
         out = model(tiny_ids, injector=injector)
         assert len(out.report.injected) == 2
+
+    def test_at_rest_weight_flip_reaches_the_forward(self, tiny_ids):
+        # The weights_at_rest fault model flips a stored weight in place for
+        # one trial and restores it afterwards, so every forward must read the
+        # weight as it is at that call: a rounded copy cached across calls
+        # would miss the flip, or keep it after the restore.
+        cfg = GPT2_SMALL.scaled(hidden_dim=32, num_layers=1)
+        model = TransformerModel(cfg, seed=3, attention_block_size=16)
+        clean = model.forward(tiny_ids)
+        weight = model.blocks[0].ffn.fc_in.weight
+        original = weight[5, 7]
+        assert abs(original) < 1.0  # so the top exponent bit is clear
+        weight[5, 7] = flip_bit(float(original), 30, np.float32)
+        try:
+            faulty = model.forward(tiny_ids)
+        finally:
+            weight[5, 7] = original
+        assert faulty.report.detections["ffn_in"] > 0
+        restored = model.forward(tiny_ids)
+        assert restored.report.clean
+        assert restored.logits.tobytes() == clean.logits.tobytes()
 
     def test_num_parameters_positive_and_scales(self):
         small = TransformerModel(GPT2_SMALL.scaled(32, 1), attention_block_size=16)
