@@ -10,6 +10,14 @@ compared bit for bit:
   block 16 and seq 23 / dim 8 / block 8) with one and two heads, plus a clean
   call per scheme and shape: 976 calls.  Each call's output, its five report
   counters and its injection records are hashed.
+* ``kernels-two-site`` -- ``forward`` of the fused schemes (none, efta,
+  efta_unified) with two faults in one injector, at two different per-tile
+  sites and sharing the injector's generator, so the digest also pins the
+  order in which a kernel offers tiles to the sites.  Every pair of the six
+  per-tile sites, with neither, the first or both faults pinned to a block,
+  under all five fault models, on shapes with at least four full column
+  blocks per row panel and a ragged tail (seq 72 / dim 8 / block 16 and
+  seq 100 / dim 16 / block 16), with one and two heads: 540 calls.
 * ``campaign-transformer`` -- one ``run_experiment`` run of the transformer
   fault campaign of perfbench's ``campaign-transformer`` workload (seed 0,
   serial executor, jsonl store), hashed through the store's canonical export.
@@ -31,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 import tempfile
@@ -63,6 +72,10 @@ FAULT_MODELS = {
 #: (seq_len, head_dim, block_size): both ragged (seq not a multiple of block).
 SHAPES = ((40, 16, 16), (23, 8, 8))
 HEADS = ((), (2,))
+#: The fused kernels' per-tile sites, and shapes with at least four full
+#: column blocks per row panel plus a ragged tail.
+TILE_SITES = FUSED_SITES[:-1]
+TWO_SITE_SHAPES = ((72, 8, 16), (100, 16, 16))
 REPORT_COUNTERS = ("detections", "corrections", "recomputations", "restorations", "uncorrectable")
 
 #: The ``campaign-transformer`` workload's spec at perfbench's default seed.
@@ -93,6 +106,14 @@ def _kernel_calls():
                     yield shape, heads, scheme, plan
 
 
+def _hash_call(digest, out, report) -> None:
+    """Fold one call's output, report counters and injection records into ``digest``."""
+    digest.update(np.ascontiguousarray(out).tobytes())
+    summary = {name: sorted(getattr(report, name).items()) for name in REPORT_COUNTERS}
+    summary["injected"] = [dataclasses.asdict(record) for record in report.injected]
+    digest.update(json.dumps(summary, sort_keys=True, default=str).encode())
+
+
 def kernel_digest() -> tuple[int, str]:
     """Digest of every scheme's ``forward`` over the site x fault-model matrix."""
     digest = hashlib.sha256()
@@ -116,11 +137,50 @@ def kernel_digest() -> tuple[int, str]:
             injector = FaultInjector(specs=[spec], seed=int(rng.integers(2**31)))
         attention = build_scheme(scheme, AttentionConfig(seq, dim, block_size=block))
         out, report = attention.forward(q, k, v, injector)
-        digest.update(np.ascontiguousarray(out).tobytes())
-        summary = {name: sorted(getattr(report, name).items()) for name in REPORT_COUNTERS}
-        summary["injected"] = [dataclasses.asdict(record) for record in report.injected]
-        digest.update(json.dumps(summary, sort_keys=True, default=str).encode())
+        _hash_call(digest, out, report)
         calls += 1
+    return calls, digest.hexdigest()
+
+
+def two_site_digest() -> tuple[int, str]:
+    """Digest of the fused schemes' ``forward`` with two faults in one injector."""
+    digest = hashlib.sha256()
+    calls = 0
+    models = list(FAULT_MODELS)
+    pairs = list(itertools.combinations(TILE_SITES, 2))
+    for seq, dim, block in TWO_SITE_SHAPES:
+        config = AttentionConfig(seq, dim, block_size=block)
+        n_row_blocks = -(-seq // block)
+        for heads in HEADS:
+            groups = heads[0] if heads else 1
+            for scheme in ("none", "efta", "efta_unified"):
+                attention = build_scheme(scheme, config)
+                for p, sites in enumerate(pairs):
+                    for pinned in range(3):  # neither, the first, both
+                        rng = np.random.default_rng([seq, groups, p, pinned])
+                        q, k, v = (
+                            rng.standard_normal(heads + (seq, dim)).astype(np.float32)
+                            for _ in range(3)
+                        )
+                        specs = []
+                        for n, site in enumerate(sites):
+                            model = models[(2 * p + 3 * pinned + n) % len(models)]
+                            block_ij = None
+                            if n < pinned:
+                                block_ij = tuple(int(x) for x in rng.integers(n_row_blocks, size=2))
+                            specs.append(FaultSpec(
+                                site=site,
+                                block=block_ij,
+                                bit=int(rng.integers(8, 15)),
+                                dtype="fp16",
+                                occurrence=int(rng.integers(groups if block_ij else 3)),
+                                fault_model=model,
+                                model_params=FAULT_MODELS[model],
+                            ))
+                        injector = FaultInjector(specs=specs, seed=int(rng.integers(2**31)))
+                        out, report = attention.forward(q, k, v, injector)
+                        _hash_call(digest, out, report)
+                        calls += 1
     return calls, digest.hexdigest()
 
 
@@ -146,7 +206,12 @@ def campaign_digest() -> tuple[int, str]:
 def main() -> int:
     # The fp16 casts overflow by design (faults flip exponent bits).
     warnings.simplefilter("ignore", RuntimeWarning)
-    for name, check in (("kernels", kernel_digest), ("campaign-transformer", campaign_digest)):
+    checks = (
+        ("kernels", kernel_digest),
+        ("kernels-two-site", two_site_digest),
+        ("campaign-transformer", campaign_digest),
+    )
+    for name, check in checks:
         count, hexdigest = check()
         print(name, count, hexdigest, flush=True)
     return 0

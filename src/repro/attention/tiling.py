@@ -20,6 +20,21 @@ def partition_blocks(seq_len: int, block_size: int) -> Iterator[slice]:
         yield slice(start, min(start + block_size, seq_len))
 
 
+def block_runs(seq_len: int, block_size: int) -> list[tuple[int, int, slice]]:
+    """The blocks of :func:`partition_blocks` grouped into runs of equal width.
+
+    Returns ``(first block index, block count, covered slice)`` per run: the
+    full blocks first, then the ragged tail block (if any) as a run of one.
+    """
+    full, tail = divmod(seq_len, block_size)
+    runs = []
+    if full:
+        runs.append((0, full, slice(0, full * block_size)))
+    if tail:
+        runs.append((full, 1, slice(full * block_size, seq_len)))
+    return runs
+
+
 def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     """Reshape ``(batch, seq, hidden)`` into ``(batch, heads, seq, head_dim)``."""
     x = np.asarray(x)

@@ -17,7 +17,10 @@ derives the unified-verification variant from it.
 
 The fused kernel exists once, over a leading *trial* axis
 (:meth:`EFTAttention.forward_batched`, see :mod:`repro.core.stacked`);
-:meth:`EFTAttention.forward` is that kernel at a trial axis of one.
+:meth:`EFTAttention.forward` is that kernel at a trial axis of one.  Within
+a row panel it runs the column blocks' tiles as *spans*: several tiles at
+once where no fault can land, detecting only, and one tile at a time
+wherever a fault can land or a check flags.
 
 Known limitation (shared with the paper's design): a reduce-max fault is not
 *corrected* -- its effect cancels between numerator and denominator (SNVR
@@ -29,13 +32,16 @@ bound) but the design provides no recomputation path for it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import partial
+
 import numpy as np
 
-from repro.attention.tiling import partition_blocks
+from repro.attention.tiling import block_runs, partition_blocks
 from repro.core.config import AttentionConfig, FaultToleranceReport
 from repro.core.snvr import exp_checksum_propagate, restrict_rowsum_stacked, verify_exp_products
-from repro.core.stacked import forward_one_trial, forward_stacked
-from repro.core.strided_abft import BlockChecksums, StridedABFT
+from repro.core.stacked import forward_one_trial, forward_stacked, run_spans, tile_view
+from repro.core.strided_abft import BlockChecksums, KeyChecksums, StridedABFT
 from repro.fault.injector import FaultInjector
 from repro.fault.models import FaultSite
 from repro.fp.float16 import FP16Operand, fp16_matmul
@@ -133,128 +139,211 @@ class EFTAttention:
         router,
         reports: list[FaultToleranceReport],
     ) -> np.ndarray:
-        """Algorithm 1 on ``(trials, seq, head_dim)`` operands.
+        """Algorithm 1 on ``(trials, seq, head_dim)`` operands, panel by panel.
 
         Stack-invariance rules: the trial axis is never flattened into a
         GEMM's row dimension (a fused 2D GEMM can pick a different kernel
         blocking and drift in the last bits); reductions stay on the last
         axis; every trial's injector sees the offer sequence of a lone run.
 
+        Panel stacking: each row panel ``Q_i`` stacks its equal-width column
+        blocks on a tile axis (``(trials, tiles, ...)``; a ragged tail block
+        is a run of its own).  GEMM I and its two checksum products run once
+        per panel and run (no fault site sits between them); the rest of the
+        tile body runs once per *span* (:func:`repro.core.stacked.run_spans`,
+        :meth:`_span`).  Every stacked op is elementwise, a last-axis
+        reduction, the running max, or a batched GEMM on each tile's own 2-D
+        operands in the layout a lone tile has, so values are bitwise those
+        of a tile-by-tile loop.
+
         Round-once rule: every GEMM operand is rounded to FP16 once, where it
         is produced, and reused by each product that reads it (an
         :class:`~repro.fp.float16.FP16Operand`), as the fused kernel's MMAs
-        reuse a loaded tile.  Before the row loop: ``K^T`` and ``V`` (viewed
-        per column block), and per column block the key checksums and
-        ``V_j``'s three checksums.  Per row block: ``Q_i``.  Per tile:
-        ``P_ij``, after the EXP-stage repair.  Rounding keeps each view's
-        memory order, and NumPy runs one BLAS call per trial on the same
-        values in the same order, so the products are bitwise those of
-        rounding inside every call.
+        reuse a loaded tile.  Before the row loop, per run of equal-width
+        blocks: ``K^T`` and ``V``, the key checksums and ``V``'s three
+        checksums, rounded from ``(trials, tiles, ...)`` views.  Per row
+        panel: ``Q_i``.  Per span: ``P``, after any EXP-stage repair.
+        Rounding keeps each view's memory order, and NumPy runs one BLAS call
+        per trial and tile on the same values in the same order, so the
+        products are bitwise those of rounding inside every call.
         """
         cfg = self.config
-        scale = cfg.effective_scale
-        stride = cfg.checksum_stride
+        scale = np.float32(cfg.effective_scale)
         trials, seq_len, head_dim = q.shape
-        k_len = k.shape[1]
+        stride = cfg.checksum_stride
         out = np.empty((trials, seq_len, head_dim), dtype=np.float32)
 
-        # Per column block: (K_j^T, key checksums) and (V_j, V_j's checksums
-        # c1 and c2, the c1 fold of |V_j| that sizes the output threshold).
-        # K^T and V are rounded whole and viewed per block, which keeps fewer,
-        # larger arrays alive through the row loop than rounding each block.
-        k_t = FP16Operand(np.swapaxes(k, -1, -2))
-        v16 = FP16Operand(v)
-        keys = []
-        values = []
-        for col_blk in partition_blocks(k_len, cfg.block_size):
-            k_j = k[:, col_blk]
-            v_j = v[:, col_blk]
-            keys.append((k_t[..., col_blk], self.abft.key_block_checksums(k_j)))
-            v_c1, v_c2 = self.abft.encode_value_checksums(v_j)
-            v_abs_c1 = self.abft.encode_value_checksums(np.abs(v_j))[0]
-            values.append(
-                (v16[:, col_blk],) + tuple(FP16Operand(x) for x in (v_c1, v_c2, v_abs_c1))
-            )
+        runs = []
+        for first, n_tiles, cols in block_runs(k.shape[1], cfg.block_size):
+            k_r = tile_view(k, n_tiles, cols)
+            v_r = tile_view(v, n_tiles, cols)
+            v_c1, v_c2 = self.abft.encode_value_checksums(v_r)
+            v_abs_c1 = self.abft.encode_value_checksums(np.abs(v_r))[0]
+            runs.append(_KeyValueRun(
+                first=first,
+                n_tiles=n_tiles,
+                stop=cols.stop,
+                k_t=FP16Operand(np.swapaxes(k_r, -1, -2)),
+                key_chk=self.abft.key_block_checksums(k_r),
+                values=tuple(FP16Operand(x) for x in (v_r, v_c1, v_c2, v_abs_c1)),
+            ))
 
         for i, row_blk in enumerate(partition_blocks(seq_len, cfg.block_size)):
-            q_i = FP16Operand(q[:, row_blk])
-            rows = q_i.shape[1]
-            row_max = np.full((trials, rows), -np.inf, dtype=np.float32)
-            row_sum = np.zeros((trials, rows), dtype=np.float32)
-            acc = np.zeros((trials, rows, head_dim), dtype=np.float32)
-            acc_c1 = np.zeros((trials, rows, stride), dtype=np.float32)
-            acc_c2 = np.zeros((trials, rows, stride), dtype=np.float32)
-            acc_mag = np.zeros((trials, rows, stride), dtype=np.float32)
-            block_maxes: list[np.ndarray] = []
-
-            for j, ((k_tj, key_chk), (v_j, v_c1, v_c2, v_abs_c1)) in enumerate(
-                zip(keys, values)
-            ):
-                block = (i, j)
-
-                score_chk = self.abft.score_checksums(q_i, key_chk, scale)
-                scores = fp16_matmul(q_i, k_tj) * np.float32(scale)
-                router.corrupt(FaultSite.GEMM_QK, scores, block=block)
-
-                local_max = scores.max(axis=-1)
-                new_max = np.maximum(row_max, local_max)
-                router.corrupt(FaultSite.REDUCE_MAX, new_max, block=block)
-
-                probs = np.exp(scores - new_max[..., None]).astype(np.float32)
-                router.corrupt(FaultSite.SUBTRACT_EXP, probs, block=block)
-
-                probs, new_max, local_max = self._verify_exp_stage_stacked(
-                    scores, probs, row_max, new_max, local_max, score_chk, reports
-                )
-
-                rescale = np.where(
-                    np.isfinite(row_max), np.exp(row_max - new_max), 0.0
-                ).astype(np.float32)
-                new_sum = rescale * row_sum + probs.sum(axis=-1, dtype=np.float32)
-                router.corrupt(FaultSite.REDUCE_SUM, new_sum, block=block)
-                block_maxes.append(local_max)
-                if not self.unified_verification:
-                    attended = min((j + 1) * cfg.block_size, k_len)
-                    new_sum = self._restrict_rowsum_stacked(
-                        new_sum, block_maxes, new_max, attended, reports
-                    )
-                row_sum = new_sum
-
-                acc_scaled = rescale[..., None] * acc
-                router.corrupt(FaultSite.RESCALE, acc_scaled, block=block)
-                p_ij = FP16Operand(probs)
-                acc = acc_scaled + fp16_matmul(p_ij, v_j)
-                router.corrupt(FaultSite.GEMM_PV, acc, block=block)
-                acc_c1 = rescale[..., None] * acc_c1 + fp16_matmul(p_ij, v_c1)
-                acc_c2 = rescale[..., None] * acc_c2 + fp16_matmul(p_ij, v_c2)
-                acc_mag = rescale[..., None] * acc_mag + fp16_matmul(p_ij, v_abs_c1)
-
-                if not self.unified_verification:
-                    verdicts = self.abft.verify_output_stacked(
-                        acc, acc_c1, acc_c2, magnitude=_OUTPUT_MAGNITUDE_FLOOR * acc_mag
-                    )
-                    _record_stacked_verdicts("gemm_pv", verdicts, reports)
-
-                row_max = new_max
-
-            row_sum = self._restrict_rowsum_stacked(
-                row_sum, block_maxes, row_max, k_len, reports
+            q_i = FP16Operand(q[:, row_blk])[:, None]
+            rows = q_i.shape[2]
+            panel = _Panel(
+                row_max=np.full((trials, rows), -np.inf, dtype=np.float32),
+                row_sum=np.zeros((trials, rows), dtype=np.float32),
+                acc=np.zeros((trials, rows, head_dim), dtype=np.float32),
+                acc_c1=np.zeros((trials, rows, stride), dtype=np.float32),
+                acc_c2=np.zeros((trials, rows, stride), dtype=np.float32),
+                acc_mag=np.zeros((trials, rows, stride), dtype=np.float32),
+                block_maxes=[],
             )
+            for run in runs:
+                score_chk = self.abft.score_checksums(q_i, run.key_chk, scale)
+                scores = fp16_matmul(q_i, run.k_t) * scale
+                span = partial(self._span, i, run, scores, score_chk, panel, router, reports)
+                run_spans(router, i, run.first, run.n_tiles, span)
+
+            row_sum, counts = self._restrict_rowsum_stacked(
+                panel.row_sum, panel.block_maxes, panel.row_max, k.shape[1]
+            )
+            _record_restorations(counts, reports)
 
             denom = np.where(row_sum > 0.0, row_sum, 1.0).astype(np.float32)
-            o_block = acc / denom[..., None]
+            o_block = panel.acc / denom[..., None]
             router.corrupt(FaultSite.NORMALIZE, o_block, block=(i, -1))
-            acc_c1 = acc_c1 / denom[..., None]
-            acc_c2 = acc_c2 / denom[..., None]
+            acc_c1 = panel.acc_c1 / denom[..., None]
+            acc_c2 = panel.acc_c2 / denom[..., None]
 
             verdicts = self.abft.verify_output_stacked(
                 o_block, acc_c1, acc_c2,
-                magnitude=_OUTPUT_MAGNITUDE_FLOOR * acc_mag / denom[..., None],
+                magnitude=_OUTPUT_MAGNITUDE_FLOOR * panel.acc_mag / denom[..., None],
             )
             _record_stacked_verdicts("output", verdicts, reports)
 
             out[:, row_blk] = o_block
         return out
+
+    def _span(
+        self,
+        i: int,
+        run: "_KeyValueRun",
+        scores: np.ndarray,
+        score_chk: BlockChecksums,
+        panel: "_Panel",
+        router,
+        reports: list[FaultToleranceReport],
+        a: int,
+        b: int,
+    ) -> bool:
+        """Tiles ``a..b-1`` of ``run`` in row panel ``i``: one span.
+
+        Once per span: every ``corrupt`` offer (one call per tile and site),
+        ``exp``, the EXP-stage checksum propagation and product check, the
+        rescale factors, the row sums, one stacked ``P V`` with its three
+        checksum products and, for per-iteration verification, the output
+        checksum detection.  The running max is one ``np.maximum.accumulate``
+        over the tile axis (bitwise the chained ``np.maximum``); the row sum
+        (with the per-tile rowsum restriction) and the accumulators are
+        sequential loops over the tiles.
+
+        A one-tile span repairs what its checks flag, in the tile loop's
+        order.  A multi-tile span only detects: when a check flags for any
+        trial it returns ``False`` before touching ``panel`` or ``reports``.
+        Its offers could reach no fault (see
+        :meth:`~repro.fault.injector._BatchFaultRouter.quiet_prefix`), so
+        nothing else has changed either.
+        """
+        cfg = self.config
+        multi = b - a > 1
+        blocks = [(i, run.first + t) for t in range(a, b)]
+        s = scores[:, a:b]
+        for t, block in enumerate(blocks):
+            router.corrupt(FaultSite.GEMM_QK, s[:, t], block=block)
+
+        local_max = s.max(axis=-1)
+        # maxes[:, 0] is the running max before the span, maxes[:, t + 1]
+        # after its tile t.  A REDUCE_MAX fault can only land in a one-tile
+        # span, after which no tile of the span reads the running max.
+        maxes = np.concatenate((panel.row_max[:, None], local_max), axis=1)
+        np.maximum.accumulate(maxes, axis=1, out=maxes)
+        for t, block in enumerate(blocks):
+            router.corrupt(FaultSite.REDUCE_MAX, maxes[:, t + 1], block=block)
+        new_max = maxes[:, 1:]
+
+        probs = np.exp(s - new_max[..., None])
+        for t, block in enumerate(blocks):
+            router.corrupt(FaultSite.SUBTRACT_EXP, probs[:, t], block=block)
+
+        check1 = score_chk.check1[:, a:b]
+        flagged = self._exp_stage_flags(probs, new_max, check1, score_chk.class_counts)
+        if flagged.any():
+            if multi:
+                return False
+            tile_chk = BlockChecksums(
+                check1=check1[:, 0],
+                check2=score_chk.check2[:, a],
+                class_counts=score_chk.class_counts,
+            )
+            self._repair_exp_stage(
+                s[:, 0], probs[:, 0], maxes[:, 0], new_max[:, 0], local_max[:, 0],
+                tile_chk, flagged, reports,
+            )
+
+        prev_max = maxes[:, :-1]
+        rescale = np.where(np.isfinite(prev_max), np.exp(prev_max - new_max), np.float32(0.0))
+        tile_sums = probs.sum(axis=-1, dtype=np.float32)
+        p = FP16Operand(probs)
+        pv, pv_c1, pv_c2, pv_mag = (fp16_matmul(p, x[:, a:b]) for x in run.values)
+
+        row_sum = panel.row_sum
+        acc, acc_c1, acc_c2, acc_mag = panel.acc, panel.acc_c1, panel.acc_c2, panel.acc_mag
+        block_maxes = list(panel.block_maxes)
+        history = []
+        for t, block in enumerate(blocks):
+            r = rescale[:, t]
+            row_sum = r * row_sum + tile_sums[:, t]
+            router.corrupt(FaultSite.REDUCE_SUM, row_sum, block=block)
+            block_maxes.append(local_max[:, t])
+            if not self.unified_verification:
+                attended = min((block[1] + 1) * cfg.block_size, run.stop)
+                row_sum, counts = self._restrict_rowsum_stacked(
+                    row_sum, block_maxes, new_max[:, t], attended
+                )
+                if counts.any():
+                    if multi:
+                        return False
+                    _record_restorations(counts, reports)
+
+            r = r[..., None]
+            acc_scaled = r * acc
+            router.corrupt(FaultSite.RESCALE, acc_scaled, block=block)
+            acc = acc_scaled + pv[:, t]
+            router.corrupt(FaultSite.GEMM_PV, acc, block=block)
+            acc_c1 = r * acc_c1 + pv_c1[:, t]
+            acc_c2 = r * acc_c2 + pv_c2[:, t]
+            acc_mag = r * acc_mag + pv_mag[:, t]
+            if self.unified_verification:
+                continue
+            if multi:
+                history.append((acc, acc_c1, acc_mag))
+            else:
+                verdicts = self.abft.verify_output_stacked(
+                    acc, acc_c1, acc_c2, magnitude=_OUTPUT_MAGNITUDE_FLOOR * acc_mag
+                )
+                _record_stacked_verdicts("gemm_pv", verdicts, reports)
+        if history:
+            o, o_c1, o_mag = (np.stack(x, axis=1) for x in zip(*history))
+            if self.abft.output_flags(o, o_c1, magnitude=_OUTPUT_MAGNITUDE_FLOOR * o_mag).any():
+                return False
+
+        panel.row_max = maxes[:, -1]
+        panel.row_sum = row_sum
+        panel.block_maxes = block_maxes
+        panel.acc, panel.acc_c1, panel.acc_c2, panel.acc_mag = acc, acc_c1, acc_c2, acc_mag
+        return True
 
     # ------------------------------------------------------------------ #
     # Protection helpers
@@ -329,7 +418,30 @@ class EFTAttention:
             report.record_recomputation("exp", int(len(rows)))
         return probs, new_max, local_max
 
-    def _verify_exp_stage_stacked(
+    def _exp_stage_flags(
+        self,
+        probs: np.ndarray,
+        new_max: np.ndarray,
+        check1: np.ndarray,
+        class_counts: np.ndarray,
+    ) -> np.ndarray:
+        """Which trials the EXP/GEMM-I check flags, over any tiles stacked after the trial axis.
+
+        The propagated checksum and the strided-product comparison are
+        elementwise, so one pass covers every trial and tile.  A trial is
+        flagged when a stride class's product deviates or its propagated
+        checksum underflowed to zero (the degenerate case
+        :meth:`_verify_exp_stage` re-checks linearly).
+        """
+        cfg = self.config
+        p_check = exp_checksum_propagate(check1, new_max, class_counts)
+        bad = verify_exp_products(
+            probs, p_check, cfg.checksum_stride,
+            rtol=cfg.exp_product_rtol, atol=cfg.exp_product_atol,
+        )
+        return (bad | (p_check == 0.0)).reshape(probs.shape[0], -1).any(axis=1)
+
+    def _repair_exp_stage(
         self,
         scores: np.ndarray,
         probs: np.ndarray,
@@ -337,30 +449,16 @@ class EFTAttention:
         new_max: np.ndarray,
         local_max: np.ndarray,
         score_chk: BlockChecksums,
+        flagged: np.ndarray,
         reports: list[FaultToleranceReport],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """EXP/GEMM-I verification over the stack: detect once, repair per trial.
+    ) -> None:
+        """Run :meth:`_verify_exp_stage` for each flagged trial of one tile, in place.
 
-        The propagated checksum and the strided-product comparison are
-        elementwise over the stack, so one pass computes every trial's ``bad``
-        and ``degenerate`` masks.  Unflagged trials are left untouched.  Each
-        flagged trial runs :meth:`_verify_exp_stage` on slice *views*, so the
-        in-place score correction and the max/probs recomputation land in the
-        stacked arrays and the bookkeeping in that trial's report.
+        Each flagged trial works on slice *views* of the stacked
+        ``(trials, ...)`` arrays, so the in-place score correction and the
+        max/probs recomputation land in them and the bookkeeping in that
+        trial's report.  Unflagged trials are left untouched.
         """
-        cfg = self.config
-        stride = cfg.checksum_stride
-        p_check = exp_checksum_propagate(
-            score_chk.check1, new_max, score_chk.class_counts
-        )
-        bad = verify_exp_products(
-            probs, p_check, stride, rtol=cfg.exp_product_rtol, atol=cfg.exp_product_atol
-        )
-        degenerate = p_check == 0.0
-        n_trials = scores.shape[0]
-        flagged = (bad | degenerate).reshape(n_trials, -1).any(axis=1)
-        if not flagged.any():
-            return probs, new_max, local_max
         for t in np.nonzero(flagged)[0]:
             chk_t = BlockChecksums(
                 check1=score_chk.check1[t],
@@ -374,7 +472,6 @@ class EFTAttention:
             probs[t] = p_t
             new_max[t] = nm_t
             local_max[t] = lm_t
-        return probs, new_max, local_max
 
     def _restrict_rowsum_stacked(
         self,
@@ -382,22 +479,54 @@ class EFTAttention:
         block_maxes: list[np.ndarray],
         row_max: np.ndarray,
         attended_positions: int,
-        reports: list[FaultToleranceReport],
-    ) -> np.ndarray:
-        """SNVR case 3 over the trial stack; counts recorded per trial.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """SNVR case 3 over the trial stack: ``(restricted, per-trial counts)``.
 
         The normaliser is a sum of one exponential at most 1 per key position
         attended so far, so ``attended_positions`` -- not the configured
         sequence length, which the key count may exceed -- bounds it above.
+        ``row_sum`` itself is never modified; the caller records the counts.
         """
-        if not block_maxes:
-            return row_sum
         stacked = np.stack(block_maxes, axis=0)
         lower = np.exp(stacked - row_max[None, ...]).sum(axis=0).astype(np.float32)
-        restricted, counts = restrict_rowsum_stacked(row_sum, lower, float(attended_positions))
-        for report, count in zip(reports, counts):
-            n_restored = int(count)
-            if n_restored:
-                report.record_detection("rowsum", n_restored)
-                report.record_restoration("rowsum", n_restored)
-        return restricted
+        return restrict_rowsum_stacked(row_sum, lower, float(attended_positions))
+
+
+def _record_restorations(counts: np.ndarray, reports: list[FaultToleranceReport]) -> None:
+    """Record per-trial rowsum restorations (each one is also a detection)."""
+    for report, count in zip(reports, counts):
+        n_restored = int(count)
+        if n_restored:
+            report.record_detection("rowsum", n_restored)
+            report.record_restoration("rowsum", n_restored)
+
+
+@dataclass(frozen=True)
+class _KeyValueRun:
+    """A run of equal-width key/value blocks, stacked on a tile axis and rounded once.
+
+    ``first`` is the run's first column-block index and ``stop`` the key
+    position it ends at; ``values`` holds ``V`` and its checksums ``c1``,
+    ``c2`` and the ``c1`` fold of ``|V|`` (which sizes the output
+    threshold), each ``(trials, tiles, B_c, ...)``.
+    """
+
+    first: int
+    n_tiles: int
+    stop: int
+    k_t: FP16Operand
+    key_chk: KeyChecksums
+    values: tuple[FP16Operand, FP16Operand, FP16Operand, FP16Operand]
+
+
+@dataclass
+class _Panel:
+    """A row panel's running state: what a committed span advances."""
+
+    row_max: np.ndarray
+    row_sum: np.ndarray
+    acc: np.ndarray
+    acc_c1: np.ndarray
+    acc_c2: np.ndarray
+    acc_mag: np.ndarray
+    block_maxes: list[np.ndarray]

@@ -27,16 +27,18 @@ Every scheme implements ``forward(q, k, v, injector) -> (out, report)`` and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
 
-from repro.attention.tiling import partition_blocks
+from repro.attention.tiling import block_runs, partition_blocks
 from repro.core.config import AttentionConfig, FaultToleranceReport
 from repro.core.decoupled import DecoupledFTAttention
 from repro.core.efta import EFTAttention
 from repro.core.efta_optimized import EFTAttentionOptimized
-from repro.core.stacked import forward_one_trial, forward_stacked
+from repro.core.stacked import forward_one_trial, forward_stacked, run_spans, tile_view
 from repro.fault.injector import FaultInjector
 from repro.fault.models import FaultSite
 from repro.fp.float16 import FP16Operand, fp16_matmul
@@ -199,11 +201,15 @@ class UnprotectedAttention(ProtectionScheme):
     propagate to the output *undetected* -- the silent-data-corruption
     reference the coverage campaigns compare protected schemes against.
 
-    The recurrence is spelled out here (like EFTA's own loop) rather than
+    The recurrence is spelled out here (like EFTA's own kernel) rather than
     reusing ``OnlineSoftmaxState`` because the injector must see each
     intermediate between the fused update's steps; bit-identity with
     ``flash_attention`` is pinned by
-    ``tests/core/test_schemes.py::TestParityWithHardwiredClasses``.
+    ``tests/core/test_schemes.py::TestParityWithHardwiredClasses``.  Like
+    EFTA, it stacks each row panel's tiles: one GEMM I per panel, the rest
+    of the tile body once per span of tiles no fault can reach
+    (:func:`repro.core.stacked.run_spans`).  With nothing to verify, its
+    spans never re-run.
     """
 
     protects_linear = False
@@ -223,42 +229,38 @@ class UnprotectedAttention(ProtectionScheme):
         return forward_stacked(self._forward_group, q, k, v, router)
 
     def _forward_group(self, q, k, v, router, reports):
+        """The flash recurrence on ``(trials, seq, head_dim)`` operands, panel by panel.
+
+        Each row panel stacks its equal-width column blocks on a tile axis,
+        as EFTA's kernel does (:meth:`repro.core.efta.EFTAttention._forward_group`):
+        GEMM I runs once per panel and run, the rest of the tile body once
+        per span (:func:`repro.core.stacked.run_spans`).  With no checks, a
+        span never flags.  The score GEMM's operands are rounded to FP16
+        once: ``K^T`` per run of equal-width blocks, ``Q_i`` per panel.
+        """
         cfg = self.config
         scale = np.float32(cfg.effective_scale)
         trials, seq_len, head_dim = q.shape
         out = np.empty((trials, seq_len, head_dim), dtype=np.float32)
-        # The score GEMM's operands are rounded to FP16 once: K^T here (viewed
-        # per column block), Q_i per row block below.
-        k_t = FP16Operand(np.swapaxes(k, -1, -2))
+        runs = [
+            (first, n_tiles, FP16Operand(np.swapaxes(tile_view(k, n_tiles, cols), -1, -2)),
+             tile_view(v, n_tiles, cols))
+            for first, n_tiles, cols in block_runs(k.shape[1], cfg.block_size)
+        ]
         for i, row_blk in enumerate(partition_blocks(seq_len, cfg.block_size)):
-            q_i = FP16Operand(q[:, row_blk])
-            rows = q_i.shape[1]
-            row_max = np.full((trials, rows), -np.inf, dtype=np.float32)
-            row_sum = np.zeros((trials, rows), dtype=np.float32)
-            acc = np.zeros((trials, rows, head_dim), dtype=np.float32)
-            for j, col_blk in enumerate(partition_blocks(k.shape[1], cfg.block_size)):
-                v_j = v[:, col_blk]
-                block = (i, j)
-                scores = fp16_matmul(q_i, k_t[..., col_blk]) * scale
-                router.corrupt(FaultSite.GEMM_QK, scores, block=block)
-                local_max = scores.max(axis=-1)
-                new_max = np.maximum(row_max, local_max)
-                router.corrupt(FaultSite.REDUCE_MAX, new_max, block=block)
-                probs = np.exp(scores - new_max[..., None]).astype(np.float32)
-                router.corrupt(FaultSite.SUBTRACT_EXP, probs, block=block)
-                rescale = np.exp(row_max - new_max).astype(np.float32)
-                rescale = np.where(np.isfinite(rescale), rescale, 0.0).astype(np.float32)
-                row_sum = rescale * row_sum + probs.sum(axis=-1, dtype=np.float32)
-                router.corrupt(FaultSite.REDUCE_SUM, row_sum, block=block)
-                acc_scaled = rescale[..., None] * acc
-                router.corrupt(FaultSite.RESCALE, acc_scaled, block=block)
-                # FP32 value accumulation, matching flash_attention's
-                # OnlineSoftmaxState.update (only the score GEMM is FP16).
-                acc = acc_scaled + np.matmul(probs, v_j)
-                router.corrupt(FaultSite.GEMM_PV, acc, block=block)
-                row_max = new_max
-            denom = np.where(row_sum > 0.0, row_sum, 1.0)
-            o_block = (acc / denom[..., None]).astype(np.float32)
+            q_i = FP16Operand(q[:, row_blk])[:, None]
+            rows = q_i.shape[2]
+            panel = _FlashPanel(
+                row_max=np.full((trials, rows), -np.inf, dtype=np.float32),
+                row_sum=np.zeros((trials, rows), dtype=np.float32),
+                acc=np.zeros((trials, rows, head_dim), dtype=np.float32),
+            )
+            for first, n_tiles, k_t, v_r in runs:
+                scores = fp16_matmul(q_i, k_t) * scale
+                span = partial(_unprotected_span, router, i, first, scores, v_r, panel)
+                run_spans(router, i, first, n_tiles, span)
+            denom = np.where(panel.row_sum > 0.0, panel.row_sum, 1.0)
+            o_block = (panel.acc / denom[..., None]).astype(np.float32)
             router.corrupt(FaultSite.NORMALIZE, o_block, block=(i, -1))
             out[:, row_blk] = o_block
         return out
@@ -268,6 +270,57 @@ class UnprotectedAttention(ProtectionScheme):
         base = KernelLedger(self.spec)
         base.add(model.flash_attention_cost())
         return CostBreakdown(name="unprotected", spec=self.spec, base=base, protection={})
+
+
+def _unprotected_span(router, i, first, scores, v_r, panel, a, b) -> bool:
+    """Tiles ``a..b-1`` of one run of the unprotected kernel: one span.
+
+    Offers, ``exp``, the running max (one ``np.maximum.accumulate``), the
+    rescale factors, the row sums and one stacked ``P V`` run once per span;
+    the row sum and the accumulator stay sequential over the tiles.  Nothing
+    is checked, so the span always commits.
+    """
+    blocks = [(i, first + t) for t in range(a, b)]
+    s = scores[:, a:b]
+    for t, block in enumerate(blocks):
+        router.corrupt(FaultSite.GEMM_QK, s[:, t], block=block)
+    # maxes[:, 0] is the running max before the span, maxes[:, t + 1] after
+    # its tile t.  A REDUCE_MAX fault can only land in a one-tile span, after
+    # which no tile of the span reads the running max.
+    maxes = np.concatenate((panel.row_max[:, None], s.max(axis=-1)), axis=1)
+    np.maximum.accumulate(maxes, axis=1, out=maxes)
+    for t, block in enumerate(blocks):
+        router.corrupt(FaultSite.REDUCE_MAX, maxes[:, t + 1], block=block)
+    new_max = maxes[:, 1:]
+    probs = np.exp(s - new_max[..., None])
+    for t, block in enumerate(blocks):
+        router.corrupt(FaultSite.SUBTRACT_EXP, probs[:, t], block=block)
+    rescale = np.exp(maxes[:, :-1] - new_max)
+    rescale = np.where(np.isfinite(rescale), rescale, np.float32(0.0))
+    tile_sums = probs.sum(axis=-1, dtype=np.float32)
+    # FP32 value accumulation, matching flash_attention's
+    # OnlineSoftmaxState.update (only the score GEMM is FP16).
+    pv = np.matmul(probs, v_r[:, a:b])
+    row_sum, acc = panel.row_sum, panel.acc
+    for t, block in enumerate(blocks):
+        r = rescale[:, t]
+        row_sum = r * row_sum + tile_sums[:, t]
+        router.corrupt(FaultSite.REDUCE_SUM, row_sum, block=block)
+        acc_scaled = r[..., None] * acc
+        router.corrupt(FaultSite.RESCALE, acc_scaled, block=block)
+        acc = acc_scaled + pv[:, t]
+        router.corrupt(FaultSite.GEMM_PV, acc, block=block)
+    panel.row_max, panel.row_sum, panel.acc = maxes[:, -1], row_sum, acc
+    return True
+
+
+@dataclass
+class _FlashPanel:
+    """A row panel's running max, row sum and accumulator in the unprotected kernel."""
+
+    row_max: np.ndarray
+    row_sum: np.ndarray
+    acc: np.ndarray
 
 
 # --------------------------------------------------------------------------- #

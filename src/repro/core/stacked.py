@@ -8,6 +8,15 @@ trial axis through every intermediate -- matmuls stay batched over the last
 two dims, reductions stay on the last axis -- so a trial's slice is bitwise
 the same whatever else is stacked with it.  A scalar ``forward`` is therefore
 the same kernel at a trial axis of one (:func:`forward_one_trial`).
+
+The fused kernels (``none``, ``efta``, ``efta_unified``) also stack a row
+panel's equal-width column blocks on a *tile* axis.  The products that no
+fault site sits between -- GEMM I and its checksums -- run once per panel;
+the rest of a tile's body runs once per *span* of tiles
+(:func:`run_spans`).  A span covers several tiles only where the router
+guarantees that no offer can reach a fault, and only detects: when one of
+its checks flags, it is dropped and its tiles re-run one at a time, through
+the same code and the existing repair paths.
 """
 
 from __future__ import annotations
@@ -16,6 +25,48 @@ import numpy as np
 
 from repro.core.config import FaultToleranceReport
 from repro.fault.injector import _BatchFaultRouter
+from repro.fault.models import FaultSite
+
+#: The fault sites a fused kernel offers once per tile, in offer order.
+TILE_SITES = (
+    FaultSite.GEMM_QK,
+    FaultSite.REDUCE_MAX,
+    FaultSite.SUBTRACT_EXP,
+    FaultSite.REDUCE_SUM,
+    FaultSite.RESCALE,
+    FaultSite.GEMM_PV,
+)
+
+
+def tile_view(x: np.ndarray, n_tiles: int, run: slice) -> np.ndarray:
+    """``x[:, run]`` of a ``(trials, seq, d)`` array as ``(trials, n_tiles, width, d)``.
+
+    A view whenever ``x``'s rows are evenly strided, so each tile keeps the
+    memory layout of ``x[:, block]``.
+    """
+    return x[:, run].reshape(x.shape[0], n_tiles, -1, x.shape[-1])
+
+
+def run_spans(router, row_block: int, first_block: int, n_tiles: int, run_span) -> None:
+    """Run a row panel's ``n_tiles`` equal-width tiles, span by span.
+
+    Tile ``t`` is block ``(row_block, first_block + t)``.  Each span is the
+    longest run of tiles, from the next one, at which
+    :meth:`~repro.fault.injector._BatchFaultRouter.quiet_prefix` guarantees
+    that no per-tile offer can reach a fault -- or the next tile alone.
+    ``run_span(a, b)`` runs tiles ``a..b-1`` and returns ``False`` when a
+    multi-tile span's checks flagged; it must then have changed and recorded
+    nothing, and the span's tiles re-run as one-tile spans (which never
+    decline), so every repair runs exactly where a tile-by-tile loop runs it.
+    """
+    a = 0
+    while a < n_tiles:
+        blocks = [(row_block, first_block + t) for t in range(a, n_tiles)]
+        b = a + max(1, router.quiet_prefix(TILE_SITES, blocks))
+        if not run_span(a, b):
+            for t in range(a, b):
+                run_span(t, t + 1)
+        a = b
 
 
 def forward_stacked(group_kernel, q, k, v, router):

@@ -28,6 +28,7 @@ from repro.fp.float16 import FP16Operand, fp16_matmul
 from repro.gemm.checksum import (
     ChecksumVerdict,
     encode_strided_row_checksums,
+    strided_checksum_flags,
     strided_sums,
     verify_strided_checksums,
     verify_strided_checksums_stacked,
@@ -113,7 +114,10 @@ class StridedABFT:
 
         The encoding runs on the unrounded ``(..., B_c, d)`` block, as the
         checksum GEMM's operand has always been produced; only the result is
-        rounded, so each of the two checksum products reuses it.
+        rounded, so each of the two checksum products reuses it.  Leading
+        axes pass through: the fused kernels encode a run of equal-width key
+        blocks at once, as ``(trials, tiles, B_c, d)``, and each tile's
+        ``(d, stride)`` checksums are bitwise its own block's.
         """
         check1, check2 = self.encode_key_checksums(k_block)
         counts = stride_class_counts(int(np.asarray(k_block).shape[-2]), self.stride)
@@ -127,7 +131,10 @@ class StridedABFT:
         These are the two checksum products that ride beside GEMM I
         (Equations 14-15).  ``q_block`` may be an :class:`FP16Operand` so the
         fused kernel rounds each query block once for GEMM I and both
-        products.
+        products.  Leading axes broadcast as in ``matmul``: with ``key`` built
+        over ``(trials, tiles, ...)`` and ``q_block`` viewed as ``(trials, 1,
+        B_r, d)``, one call yields a row panel's checksums for every tile, as
+        one BLAS product per tile on the same operands.
         """
         s_c1 = fp16_matmul(q_block, key.check1) * np.float32(scale)
         s_c2 = fp16_matmul(q_block, key.check2) * np.float32(scale)
@@ -206,6 +213,28 @@ class StridedABFT:
             rtol=self.config.output_checksum_rtol if rtol is None else rtol,
             magnitude=magnitude,
         )
+
+    def output_flags(
+        self,
+        o_block: np.ndarray,
+        o_check1: np.ndarray,
+        magnitude: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Which trials :meth:`verify_output_stacked` would flag; repairs nothing.
+
+        ``o_block`` may carry a tile axis after the trial axis
+        (``(trials, tiles, B_r, d)``): a trial is flagged when any of its
+        tiles is.  Same thresholds as :meth:`verify_output_stacked`, through
+        the same detection code (:func:`strided_checksum_flags`).
+        """
+        return strided_checksum_flags(
+            o_block,
+            o_check1,
+            stride=self.stride,
+            atol=self.config.checksum_atol,
+            rtol=self.config.output_checksum_rtol,
+            magnitude=magnitude,
+        )[0]
 
     def residuals(self, s_block: np.ndarray, checksums: BlockChecksums) -> np.ndarray:
         """Raw (unthresholded) checksum residuals of a score block.

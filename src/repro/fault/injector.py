@@ -184,6 +184,35 @@ class _BatchFaultRouter:
             (t, inj) for t, inj in enumerate(injectors) if inj is not None and inj.armed
         ]
 
+    def quiet_prefix(self, sites: tuple, blocks: list) -> int:
+        """How many leading ``blocks`` no offer at ``sites`` can reach a fault at.
+
+        A kernel that stacks several tiles (``blocks``, in offer order) into
+        one span asks this first: at each tile of the returned prefix, every
+        routed injector is guaranteed to ignore an offer at any of ``sites``
+        -- no element draw, no occurrence count, no record -- so those offers
+        may run in any order, twice, or after work that assumed them empty.
+        A fault blocks a tile while it is *armed* (not yet applied, or applied
+        and persistent), its site is one of ``sites``, and its block is unset
+        or equals the tile's block.  An object that is not exactly a
+        :class:`FaultInjector` (a subclass or a counting stand-in) may act on
+        any offer, so it makes the prefix empty.
+        """
+        quiet = len(blocks)
+        for _, injector in self._active:
+            if type(injector) is not FaultInjector:
+                return 0
+            for pending in injector._pending:
+                if pending.applied and not pending.model.persistent:
+                    continue
+                if pending.spec.site not in sites:
+                    continue
+                if pending.spec.block is None:
+                    return 0
+                pinned = tuple(pending.spec.block)
+                quiet = next((n for n, b in enumerate(blocks[:quiet]) if b == pinned), quiet)
+        return quiet
+
     def corrupt(self, site, array: np.ndarray, block=None) -> None:
         if not self._active:
             return

@@ -114,7 +114,10 @@ def verify_column_checksums(
 
     ``c_check1``/``c_check2`` are the checksum rows produced by multiplying the
     encoded operand (``c1 A`` and ``c2 A``) with B.  A single corrupted element
-    per column is located via the residual ratio and corrected in place.
+    per column is located via the residual ratio and corrected in place.  A
+    ratio that is not finite (the weighted checksum overflowed, as FP16
+    operands with weights up to ``M`` do past 65504) locates nothing: the
+    column counts as uncorrectable.
     """
     c = np.asarray(c)
     sum1 = c.sum(axis=0, dtype=np.float64)
@@ -132,6 +135,9 @@ def verify_column_checksums(
             verdict.uncorrectable += 1
             continue
         row_f = res2[j] / res1[j]
+        if not np.isfinite(row_f):
+            verdict.uncorrectable += 1
+            continue
         row = int(round(row_f)) - 1
         if not 0 <= row < c.shape[0] or abs(row_f - round(row_f)) > 0.25:
             verdict.uncorrectable += 1
@@ -149,7 +155,11 @@ def verify_row_checksums(
     atol: float = 1e-3,
     rtol: float = 0.0,
 ) -> ChecksumVerdict:
-    """Verify/correct ``C`` (M x N) against row checksums of shape (M,)."""
+    """Verify/correct ``C`` (M x N) against row checksums of shape (M,).
+
+    The row-wise twin of :func:`verify_column_checksums`, with the same rule
+    for a non-finite locate ratio.
+    """
     c = np.asarray(c)
     sum1 = c.sum(axis=1, dtype=np.float64)
     sum2 = (c * np.arange(1, c.shape[1] + 1, dtype=np.float64)[None, :]).sum(axis=1)
@@ -166,6 +176,9 @@ def verify_row_checksums(
             verdict.uncorrectable += 1
             continue
         col_f = res2[i] / res1[i]
+        if not np.isfinite(col_f):
+            verdict.uncorrectable += 1
+            continue
         col = int(round(col_f)) - 1
         if not 0 <= col < c.shape[1] or abs(col_f - round(col_f)) > 0.25:
             verdict.uncorrectable += 1
@@ -217,18 +230,26 @@ def strided_sums(s: np.ndarray, stride: int = 8) -> tuple[np.ndarray, np.ndarray
     sum_l S[i, j + l*stride]`` and ``sum2`` with weight ``l + 1``.
     """
     s = np.asarray(s)
-    cols = s.shape[-1]
-    groups = _num_groups(cols, stride)
     # Leading dims beyond the row axis (e.g. a stacked trial axis) broadcast
     # through unchanged: the accumulation per slice is the 2D accumulation.
-    sum1 = np.zeros(s.shape[:-1] + (stride,), dtype=np.float64)
     sum2 = np.zeros(s.shape[:-1] + (stride,), dtype=np.float64)
-    for l in range(groups):
+    for l in range(_num_groups(s.shape[-1], stride)):
         chunk = s[..., l * stride : (l + 1) * stride].astype(np.float64)
-        width = chunk.shape[-1]
-        sum1[..., :width] += chunk
-        sum2[..., :width] += (l + 1) * chunk
-    return sum1, sum2
+        sum2[..., : chunk.shape[-1]] += (l + 1) * chunk
+    return _strided_fold(s, stride), sum2
+
+
+def _strided_fold(s: np.ndarray, stride: int) -> np.ndarray:
+    """``sum1`` of :func:`strided_sums` alone, accumulated in float64.
+
+    Each chunk is widened to float64 inside the add, so no float64 copy of
+    ``S`` is made.
+    """
+    sum1 = np.zeros(s.shape[:-1] + (stride,), dtype=np.float64)
+    for start in range(0, s.shape[-1], stride):
+        chunk = s[..., start : start + stride]
+        sum1[..., : chunk.shape[-1]] += chunk
+    return sum1
 
 
 def verify_strided_checksums(
@@ -287,10 +308,11 @@ def verify_strided_checksums(
     res1 = np.asarray(s_check1, dtype=np.float64) - sum1
     res2 = np.asarray(s_check2, dtype=np.float64) - sum2
     verdict.max_residual = float(np.max(np.abs(res1))) if res1.size else 0.0
+    folded_abs = _strided_fold(np.abs(s), stride)
     if magnitude is None:
-        magnitude, _ = strided_sums(np.abs(s), stride)
+        magnitude = folded_abs
     else:
-        magnitude = np.maximum(np.asarray(magnitude, dtype=np.float64), strided_sums(np.abs(s), stride)[0])
+        magnitude = np.maximum(np.asarray(magnitude, dtype=np.float64), folded_abs)
     thresh = _threshold(magnitude, atol, rtol)
     bad = np.argwhere(np.abs(res1) > thresh)
     # Add to (not overwrite) the detections already recorded by the
@@ -302,6 +324,9 @@ def verify_strided_checksums(
             verdict.uncorrectable += 1
             continue
         group_f = res2[i, j] / res1[i, j]
+        if not np.isfinite(group_f):
+            verdict.uncorrectable += 1
+            continue
         group = int(round(group_f)) - 1
         col = j + stride * group
         if not 0 <= group < groups or col >= cols or abs(group_f - round(group_f)) > 0.25:
@@ -311,6 +336,35 @@ def verify_strided_checksums(
         s[i, col] += delta
         verdict.corrections.append(Correction(row=int(i), col=int(col), delta=float(delta)))
     return verdict
+
+
+def strided_checksum_flags(
+    s: np.ndarray,
+    s_check1: np.ndarray,
+    stride: int = 8,
+    atol: float = 1e-2,
+    rtol: float = 0.0,
+    magnitude: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The detection half of :func:`verify_strided_checksums`, per leading index.
+
+    ``S`` is ``(T, ..., Br, Bc)``: any axes between the trial axis and the
+    block (a tile axis, say) are folded into the trial's verdict.  Returns
+    ``(flagged, res1)``: ``flagged[t]`` is True when ``S[t]`` holds a
+    non-finite element or a (row, class) residual over the threshold, and
+    ``res1`` is the float64 unweighted residual.  Everything is elementwise
+    or a last-axis fold, so each block's flags and residuals are bitwise
+    those of checking it alone.  Nothing is corrected.
+    """
+    s = np.asarray(s)
+    n_trials = s.shape[0]
+    finite = np.isfinite(s).reshape(n_trials, -1).all(axis=1)
+    res1 = np.asarray(s_check1, dtype=np.float64) - _strided_fold(s, stride)
+    mag = _strided_fold(np.abs(s), stride)
+    if magnitude is not None:
+        mag = np.maximum(np.asarray(magnitude, dtype=np.float64), mag)
+    over = np.abs(res1) > _threshold(mag, atol, rtol)
+    return ~finite | over.reshape(n_trials, -1).any(axis=1), res1
 
 
 def verify_strided_checksums_stacked(
@@ -324,29 +378,18 @@ def verify_strided_checksums_stacked(
 ) -> list[ChecksumVerdict]:
     """Per-trial verify/correct of a stacked ``S`` (T x Br x Bc), in place.
 
-    Detection runs once over the stacked residuals (the float64 strided sums
-    of a stacked array are bitwise the per-slice 2D sums).  A trial that is
-    entirely finite with every residual under threshold gets a synthesized
-    clean verdict -- bitwise what :func:`verify_strided_checksums` returns
-    when it corrects nothing, without re-touching ``S``.  Every flagged trial
-    falls back to the scalar routine on its own slice *view*, so the
-    non-finite repair, the in-place corrections and the verdict bookkeeping
-    are exactly the scalar path's, and the corrections land in the stacked
-    array.
+    Detection runs once over the stacked residuals
+    (:func:`strided_checksum_flags`).  A trial that is entirely finite with
+    every residual under threshold gets a synthesized clean verdict --
+    bitwise what :func:`verify_strided_checksums` returns when it corrects
+    nothing, without re-touching ``S``.  Every flagged trial falls back to
+    the scalar routine on its own slice *view*, so the non-finite repair, the
+    in-place corrections and the verdict bookkeeping are exactly the scalar
+    path's, and the corrections land in the stacked array.
     """
     s = np.asarray(s)
     n_trials = s.shape[0]
-    finite = np.isfinite(s).reshape(n_trials, -1).all(axis=1)
-    sum1, _ = strided_sums(s, stride)
-    res1 = np.asarray(s_check1, dtype=np.float64) - sum1
-    if magnitude is None:
-        mag = strided_sums(np.abs(s), stride)[0]
-    else:
-        mag = np.maximum(
-            np.asarray(magnitude, dtype=np.float64), strided_sums(np.abs(s), stride)[0]
-        )
-    over = np.abs(res1) > _threshold(mag, atol, rtol)
-    flagged = ~finite | over.reshape(n_trials, -1).any(axis=1)
+    flagged, res1 = strided_checksum_flags(s, s_check1, stride, atol, rtol, magnitude)
 
     verdicts: list[ChecksumVerdict] = []
     for t in range(n_trials):

@@ -1,5 +1,7 @@
 """Tests for the decoupled operation-level fault tolerant attention baseline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.core.config import AttentionConfig
 from repro.core.decoupled import DecoupledFTAttention
 from repro.core.efta_optimized import EFTAttentionOptimized
 from repro.fault.injector import FaultInjector
-from repro.fault.models import FaultSite
+from repro.fault.models import FaultSite, FaultSpec
 from repro.hardware.memory import OutOfMemoryError
 from repro.hardware.specs import GPUSpec
 
@@ -59,6 +61,21 @@ class TestDecoupledFaults:
         injector = FaultInjector.single_bit_flip(FaultSite.GEMM_QK, seed=3, bit=14)
         _, report = DecoupledFTAttention(small_config)(q, k, v, injector=injector)
         assert len(report.injected) == 1
+
+    def test_detected_gemm_fault_at_seq_2048_does_not_crash(self):
+        # Regression: at seq 2048 the FP16-rounded weighted checksum (weights
+        # 1..2048) overflows, so the ratio that locates the faulty row is NaN.
+        # The fault must count as detected and uncorrectable, not raise.
+        config = AttentionConfig(2048, 64, block_size=64)
+        rng = np.random.default_rng(0)
+        q, k, v = (rng.standard_normal((2048, 64)).astype(np.float32) for _ in range(3))
+        injector = FaultInjector(specs=[FaultSpec("gemm_qk", bit=14, dtype="fp16")], seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, report = DecoupledFTAttention(config)(q, k, v, injector=injector)
+        assert len(report.injected) == 1
+        assert report.detections["gemm_qk"] >= 1
+        assert report.uncorrectable["gemm_qk"] >= 1
 
 
 class TestDecoupledMemoryBehaviour:

@@ -39,6 +39,10 @@ MODELS = {
 }
 #: Ragged: 40 rows are two full blocks of 16 and one of 8.
 CONFIG = AttentionConfig(seq_len=40, head_dim=8, block_size=16)
+#: Four full column blocks and a ragged one per panel.  The fused schemes'
+#: faults are pinned to one block each here, so a stack that mixes quiet and
+#: armed trials runs multi-tile spans around the armed tiles.
+WIDE = AttentionConfig(seq_len=72, head_dim=8, block_size=16)
 HEADS = 2
 
 
@@ -49,15 +53,22 @@ def _counters(report) -> dict:
     }
 
 
-def _plan(scheme: str, n_trials: int, rng: np.random.Generator) -> list[tuple[FaultSpec, int]]:
+def _plan(
+    scheme: str, n_trials: int, rng: np.random.Generator, config: AttentionConfig = CONFIG
+) -> list[tuple[FaultSpec, int]]:
     """One (spec, injector seed) per trial, on a site the scheme executes."""
     names = list(MODELS)
     plans = []
     for t in range(n_trials):
         model = names[t] if t < 2 else names[int(rng.integers(len(names)))]
         site = SITES[scheme][int(rng.integers(len(SITES[scheme])))]
+        block = None
+        if config is WIDE and scheme != "decoupled":
+            row, col = (int(x) for x in rng.integers(config.n_blocks, size=2))
+            block = (row, -1 if site == "normalize" else col)
         spec = FaultSpec(
             site=site,
+            block=block,
             bit=int(rng.integers(8, 15)),
             dtype="fp16",
             occurrence=int(rng.integers(HEADS)),  # each site runs once a head or more
@@ -71,12 +82,21 @@ def _plan(scheme: str, n_trials: int, rng: np.random.Generator) -> list[tuple[Fa
 @pytest.mark.parametrize("n_trials", [2, 3, 4, 5])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_each_stacked_trial_equals_its_lone_forward(scheme, n_trials):
-    rng = np.random.default_rng([SCHEMES.index(scheme), n_trials])
-    shape = (n_trials, HEADS, CONFIG.seq_len, CONFIG.head_dim)
-    q, k, v = (rng.standard_normal(shape).astype(np.float32) for _ in range(3))
-    plans = _plan(scheme, n_trials, rng)
-    attention = build_scheme(scheme, CONFIG)
+    _check_stack_invariance(scheme, n_trials, CONFIG)
 
+
+@pytest.mark.parametrize("n_trials", [2, 3, 5])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stack_invariance_across_multi_tile_spans(scheme, n_trials):
+    _check_stack_invariance(scheme, n_trials, WIDE)
+
+
+def _check_stack_invariance(scheme: str, n_trials: int, config: AttentionConfig) -> None:
+    rng = np.random.default_rng([SCHEMES.index(scheme), n_trials])
+    shape = (n_trials, HEADS, config.seq_len, config.head_dim)
+    q, k, v = (rng.standard_normal(shape).astype(np.float32) for _ in range(3))
+    plans = _plan(scheme, n_trials, rng, config)
+    attention = build_scheme(scheme, config)
     stacked_injectors = [FaultInjector(specs=[spec], seed=seed) for spec, seed in plans]
     out, reports = attention.forward_batched(q, k, v, _BatchFaultRouter(stacked_injectors))
 

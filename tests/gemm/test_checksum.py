@@ -112,6 +112,63 @@ class TestTraditionalChecksums:
         assert verdict.clean
 
 
+class TestNonFiniteLocateRatio:
+    """A weighted checksum that overflowed locates nothing: uncorrectable, no crash.
+
+    FP16 checksum operands with weights ``1..M`` overflow past 65504 (from
+    ``M`` = 2048 up, say), so the weighted residual -- and with it the ratio
+    that names the faulty row -- is inf or NaN.
+    """
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_column_verification(self, operands, bad):
+        a, b = operands
+        c = (a @ b).astype(np.float32)
+        c1, c2 = encode_column_checksums(a)
+        check2 = (c2 @ b).copy()
+        check2[11] = bad
+        c[7, 11] += 3.5
+        corrupted = c.copy()
+        verdict = verify_column_checksums(c, c1 @ b, check2, atol=1e-3, rtol=1e-3)
+        assert verdict.detected == 1
+        assert verdict.uncorrectable == 1
+        assert verdict.corrected == 0
+        np.testing.assert_array_equal(c, corrupted)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_row_verification(self, operands, bad):
+        a, b = operands
+        c = (a @ b).astype(np.float32)
+        r1, r2 = encode_row_checksums(b)
+        check2 = (a @ r2).copy()
+        check2[3] = bad
+        c[3, 21] -= 2.25
+        corrupted = c.copy()
+        verdict = verify_row_checksums(c, a @ r1, check2, atol=1e-3, rtol=1e-3)
+        assert verdict.detected == 1
+        assert verdict.uncorrectable == 1
+        assert verdict.corrected == 0
+        np.testing.assert_array_equal(c, corrupted)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_strided_verification(self, rng, bad):
+        q = rng.standard_normal((16, 64)).astype(np.float32)
+        k = rng.standard_normal((32, 64)).astype(np.float32)
+        s = fp16_matmul(q, k.T)
+        kc1, kc2 = encode_strided_row_checksums(k.T, stride=8)
+        check2 = fp16_matmul(q, kc2)
+        check2[5, 19 % 8] = bad
+        s[5, 19] += 40.0
+        corrupted = s.copy()
+        verdict = verify_strided_checksums(
+            s, fp16_matmul(q, kc1), check2, stride=8, atol=1e-3, rtol=0.02
+        )
+        assert verdict.detected == 1
+        assert verdict.uncorrectable == 1
+        assert verdict.corrected == 0
+        np.testing.assert_array_equal(s, corrupted)
+
+
 class TestStridedChecksums:
     def test_encoding_shape(self, rng):
         kt = rng.standard_normal((64, 32)).astype(np.float32)
