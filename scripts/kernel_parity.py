@@ -22,6 +22,10 @@ compared bit for bit:
   fault campaign of perfbench's ``campaign-transformer`` workload (seed 0,
   serial executor, jsonl store), hashed through the store's canonical export.
   The count is the number of trials.
+* ``campaign-abft-coverage`` -- the same for the ``abft_error_coverage``
+  campaign on a ragged 30 x 37 x 12 block (scheme tensor and element x bit
+  error rate 1e-7 and 1e-5, 200 trials each), run on the ``process`` executor
+  with two workers so that late-index batches derive their seeds in a worker.
 
 The script imports only public entry points of ``repro``, so it runs against
 older trees too.  To compare a change with its base, run this file once per
@@ -38,6 +42,7 @@ the same machine and environment are comparable.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -88,6 +93,16 @@ CAMPAIGN_SPEC = {
         "scheme": ["none", "efta_unified", "decoupled"],
         "site": ["linear", "gemm_qk", "gemm_pv"],
     },
+}
+
+#: The ``abft_error_coverage`` campaign on a block whose 37 columns leave
+#: ragged stride classes.
+COVERAGE_SPEC = {
+    "campaign": "abft_error_coverage",
+    "n_trials": 200,
+    "seed": 0,
+    "params": {"rows": 30, "cols": 37, "depth": 12},
+    "grid": {"scheme": ["tensor", "element"], "bit_error_rate": [1e-7, 1e-5]},
 }
 
 
@@ -184,15 +199,17 @@ def two_site_digest() -> tuple[int, str]:
     return calls, digest.hexdigest()
 
 
-def campaign_digest() -> tuple[int, str]:
-    """Digest of the ``campaign-transformer`` spec's canonical results."""
+def campaign_digest(spec: dict, executor: str = "serial", n_workers: int = 1) -> tuple[int, str]:
+    """Digest of a campaign spec's canonical results in the jsonl store."""
     from repro.exec import run_experiment
     from repro.store import open_store
 
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "results"
-        result = run_experiment(CAMPAIGN_SPEC, executor="serial", results_path=path, store="jsonl")
+        result = run_experiment(
+            spec, executor=executor, n_workers=n_workers, results_path=path, store="jsonl"
+        )
         store = open_store(path)
         try:
             for index in range(len(result.points)):
@@ -209,7 +226,11 @@ def main() -> int:
     checks = (
         ("kernels", kernel_digest),
         ("kernels-two-site", two_site_digest),
-        ("campaign-transformer", campaign_digest),
+        ("campaign-transformer", functools.partial(campaign_digest, CAMPAIGN_SPEC)),
+        (
+            "campaign-abft-coverage",
+            functools.partial(campaign_digest, COVERAGE_SPEC, "process", 2),
+        ),
     )
     for name, check in checks:
         count, hexdigest = check()

@@ -103,7 +103,7 @@ class EFTAttention:
         reductions), so every per-trial slice of every intermediate -- and the
         per-trial report counters -- do not depend on what else is stacked.
         Verification *detection* runs stacked; only flagged trials take the
-        repair path, on slice views.
+        repair path.
 
         Returns ``(out, reports)`` with one report per trial.  The reports'
         ``injected`` lists are left empty (the caller owns the per-trial

@@ -200,8 +200,8 @@ class StridedABFT:
     ) -> list[ChecksumVerdict]:
         """Per-trial :meth:`verify_output` over a stacked ``(trials, ...)`` block.
 
-        Detection is one stacked pass; flagged trials correct in place through
-        slice views of ``o_block`` (see
+        Detection is one stacked pass, and flagged trials correct in place in
+        ``o_block`` (see
         :func:`repro.gemm.checksum.verify_strided_checksums_stacked`).
         """
         return verify_strided_checksums_stacked(

@@ -177,9 +177,9 @@ class ExperimentRunner:
                 if adaptive is not None
                 else campaign_spec.n_trials
             )
-            # Workers derive per-trial seeds from a spawn stream sized by the
-            # spec they receive, so the running spec carries the cap: seeds
-            # are prefix-stable, making every count a prefix of the same run.
+            # A trial's seed depends only on the root seed and its index, so
+            # the running spec can carry the cap: every count is a prefix of
+            # the same run.
             run_spec = (
                 replace(campaign_spec, n_trials=cap)
                 if cap != campaign_spec.n_trials

@@ -87,10 +87,9 @@ def _linear_batched(layer, x: np.ndarray, router: _BatchFaultRouter, protected: 
     as a batched-last-two-dims matmul rather than one flattened 2D GEMM, so
     each trial's rows are the very same ``(seq, in_dim) @ (in_dim, out_dim)``
     product the scalar forward computes -- bit-identical.  When ``protected``,
-    the checksum GEMMs run stacked too and the strided verification detects
-    once over the stack, repairing flagged trials through slice views exactly
-    like the scalar routine (verification happens before the bias add, as in
-    the scalar layer).  As there, the float32 input is rounded to FP16 once
+    the checksum GEMMs run stacked too and the strided verification runs once
+    over the stack, repairing flagged trials exactly like the scalar routine
+    (verification happens before the bias add, as in the scalar layer).  As there, the float32 input is rounded to FP16 once
     for all three GEMMs and the weight on every call.  Returns ``(y,
     verdicts)`` with one verdict per trial, or ``verdicts=None`` when
     unprotected.

@@ -37,7 +37,9 @@ from repro.fp.float16 import fp16_matmul
 from repro.gemm.checksum import (
     encode_column_checksums,
     verify_column_checksums,
+    verify_column_checksums_stacked,
     verify_strided_checksums,
+    verify_strided_checksums_stacked,
 )
 
 
@@ -130,12 +132,16 @@ def _abft_error_coverage_trial(rng: np.random.Generator, params: dict) -> dict:
 
 @register_campaign_batch("abft_error_coverage")
 def _abft_error_coverage_batch(rngs: list, params: dict) -> list[dict]:
-    """Batched coverage trials: the reference GEMM runs once, stacked over trials.
+    """Batched coverage trials: everything but the draws and flips runs once per stack.
 
     Each trial draws from its own generator in the scalar kernel's exact
-    order (q, then k, then the event stream), so the records are byte
-    identical to running the scalar kernel per trial; only the reference
-    score GEMM is fused into one stacked tensor op.
+    order (q, then k, then the event stream).  The reference GEMM, the
+    checksum encodings and products, one verify-and-correct call, the noise
+    floors and the error maxima run over the ``(trials, ...)`` stack; each
+    is bitwise the per-trial computation on every slice, and each trial's
+    check reads and writes only its own slice, so verifying after all flips
+    is the scalar order.  The records are byte identical to running the
+    scalar kernel per trial.
     """
     scheme = params.get("scheme", "tensor")
     if scheme not in ("tensor", "element"):
@@ -151,24 +157,20 @@ def _abft_error_coverage_batch(rngs: list, params: dict) -> list[dict]:
 
     qs = np.stack([rng.standard_normal((rows, depth)).astype(np.float32) for rng in rngs])
     ks = np.stack([rng.standard_normal((cols, depth)).astype(np.float32) for rng in rngs])
-    references = fp16_matmul(qs, ks.transpose(0, 2, 1))
+    kts = ks.transpose(0, 2, 1)
+    references = fp16_matmul(qs, kts)
     corrupted = references.copy()
 
-    records = []
-    for t, rng in enumerate(rngs):
-        q, k = qs[t], ks[t]
-        reference = references[t]
-        faulty = corrupted[t]
-        if scheme == "tensor":
-            abft = StridedABFT(
-                AttentionConfig(seq_len=rows, head_dim=depth, checksum_stride=stride)
-            )
-            checksums = abft.score_block_checksums(q, k, scale=1.0)
-        else:
-            ca1, ca2 = encode_column_checksums(q)
-            col_check1 = fp16_matmul(ca1[None, :], k.T)[0]
-            col_check2 = fp16_matmul(ca2[None, :], k.T)[0]
+    if scheme == "tensor":
+        abft = StridedABFT(AttentionConfig(seq_len=rows, head_dim=depth, checksum_stride=stride))
+        checksums = abft.score_checksums(qs, abft.key_block_checksums(ks), 1.0)
+    else:
+        ca1, ca2 = encode_column_checksums(qs)
+        col_check1 = fp16_matmul(ca1[:, None, :], kts)[:, 0]
+        col_check2 = fp16_matmul(ca2[:, None, :], kts)[:, 0]
 
+    trial_events = []
+    for faulty, rng in zip(corrupted, rngs):
         n_events = max(1, int(rng.poisson(bit_error_rate * compute_bits)))
         events: list[list[tuple[int, int]]] = []
         for _ in range(n_events):
@@ -180,28 +182,33 @@ def _abft_error_coverage_batch(rngs: list, params: dict) -> list[dict]:
                 bit = int(rng.integers(8, 16))
                 faulty[pos] = flip_bit(float(faulty[pos]), bit, np.float16)
             events.append(positions)
+        trial_events.append(events)
 
-        if scheme == "tensor":
-            verify_strided_checksums(
-                faulty, checksums.check1, checksums.check2, stride=stride, atol=atol, rtol=rtol
-            )
-        else:
-            verify_column_checksums(faulty, col_check1, col_check2, atol=atol, rtol=rtol)
+    if scheme == "tensor":
+        verify_strided_checksums_stacked(
+            corrupted, checksums.check1, checksums.check2, stride=stride, atol=atol, rtol=rtol
+        )
+    else:
+        verify_column_checksums_stacked(corrupted, col_check1, col_check2, atol=atol, rtol=rtol)
 
-        noise_floor = rtol * float(np.abs(reference).mean()) * stride
+    magnitudes = np.abs(references)
+    means = magnitudes.mean(axis=(1, 2))
+    scales = magnitudes.max(axis=(1, 2))
+    errors = np.abs(corrupted - references).max(axis=(1, 2))
+    records = []
+    for t, events in enumerate(trial_events):
+        faulty, reference = corrupted[t], references[t]
+        noise_floor = rtol * float(means[t]) * stride
         corrected_events = 0
         for positions in events:
             if all(abs(faulty[pos] - reference[pos]) <= noise_floor for pos in positions):
                 corrected_events += 1
-        rel_err = float(
-            np.max(np.abs(faulty - reference)) / max(np.max(np.abs(reference)), 1e-12)
-        )
         records.append(
             TrialOutcome(
-                injected=n_events,
-                detected=n_events,
+                injected=len(events),
+                detected=len(events),
                 corrected=corrected_events,
-                output_rel_error=rel_err,
+                output_rel_error=float(errors[t] / max(scales[t], 1e-12)),
             ).to_dict()
         )
     return records

@@ -12,7 +12,8 @@ Specs, execution and persistence live in :mod:`repro.exec`: an
 :func:`~repro.exec.engine.run_experiment` runs it on any executor backend.
 Every trial draws from its own generator seeded by
 ``SeedSequence(seed).spawn(n_trials)[trial]``, so results are bit-identical
-regardless of backend, worker count or scheduling.  The worker entry points
+regardless of backend, worker count or scheduling; a worker builds only the
+seeds of the trials it runs (:func:`_trial_seed`).  The worker entry points
 (:func:`_iter_trial_records`, :func:`_run_trial_batch`) and the canonical
 JSON, resume-key, chunking and multiprocessing-context helpers below are the
 primitives those backends and stores share.
@@ -234,12 +235,21 @@ def campaign_summaries() -> list[tuple[str, str]]:
 # --------------------------------------------------------------------------- #
 # Worker entry point (top-level so it pickles under any start method)
 # --------------------------------------------------------------------------- #
+def _trial_seed(root: np.random.SeedSequence, index: int) -> np.random.SeedSequence:
+    """Trial ``index``'s seed: ``root.spawn(n)[index]`` for any ``n > index``.
+
+    ``SeedSequence.spawn`` builds its ``i``-th child from the root's entropy,
+    its spawn key extended by ``i`` and its pool size; building that child
+    directly costs the same at any index and spawns none of its siblings.
+    """
+    return np.random.SeedSequence(
+        root.entropy, spawn_key=root.spawn_key + (index,), pool_size=root.pool_size
+    )
+
+
 def _iter_trial_records(spec_dict: dict, indices: Sequence[int]):
     definition = get_campaign(spec_dict["campaign"])
-    # spawn() children are prefix-stable, so deriving only up to the largest
-    # index this batch needs yields the same per-trial seeds as spawning all
-    # n_trials (see tests/properties/test_property_campaign.py).
-    seeds = np.random.SeedSequence(spec_dict["seed"]).spawn(max(indices) + 1)
+    root = np.random.SeedSequence(spec_dict["seed"])
     params_json = json.dumps(spec_dict["params"])
     # Each trial draws from its own generator, so chunking can never change
     # a trial's stream -- it only decides which trials share a kernel call.
@@ -247,7 +257,7 @@ def _iter_trial_records(spec_dict: dict, indices: Sequence[int]):
     items = list(indices)
     for start in range(0, len(items), chunk):
         batch_indices = items[start : start + chunk]
-        rngs = [np.random.default_rng(seeds[index]) for index in batch_indices]
+        rngs = [np.random.default_rng(_trial_seed(root, index)) for index in batch_indices]
         records = definition.run_batch(rngs, params_json, indices=batch_indices)
         for index, record in zip(batch_indices, records):
             yield index, record

@@ -1,4 +1,4 @@
-"""Tensor-Core GEMM substrate: MMA thread/data layout, blocked FP16 GEMM, checksums.
+"""Tensor-Core GEMM substrate: MMA thread/data layout and ABFT checksums.
 
 This package rebuilds the pieces of the paper's Section 3.3 that live below
 the attention kernel:
@@ -10,9 +10,6 @@ the attention kernel:
 * :mod:`repro.gemm.checksum` -- traditional element-wise ABFT checksums
   (Huang & Abraham) and the paper's strided tensor checksums, each with
   encode / verify / locate / correct operations.
-* :mod:`repro.gemm.tiled_gemm` -- blocked mixed-precision GEMM with optional
-  per-block fault injection, the compute primitive shared by the decoupled
-  baseline and EFTA.
 """
 
 from repro.gemm.mma import MMAAtomLayout, SM80_16x8x16, TiledMMALayout, EFTA_TILED_MMA
@@ -26,7 +23,6 @@ from repro.gemm.checksum import (
     verify_row_checksums,
     verify_strided_checksums,
 )
-from repro.gemm.tiled_gemm import blocked_matmul, iter_tiles
 
 __all__ = [
     "MMAAtomLayout",
@@ -41,6 +37,4 @@ __all__ = [
     "verify_column_checksums",
     "verify_row_checksums",
     "verify_strided_checksums",
-    "blocked_matmul",
-    "iter_tiles",
 ]

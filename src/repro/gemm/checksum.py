@@ -78,9 +78,13 @@ def row_weights(n: int, dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
 
 
 def encode_column_checksums(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Encode the two column-checksum rows ``c1 A`` and ``c2 A`` of ``A`` (M x K)."""
+    """Encode the two column-checksum rows ``c1 A`` and ``c2 A`` of ``A`` (M x K).
+
+    Leading axes pass through: ``A`` of shape ``(..., M, K)`` gives rows of
+    shape ``(..., K)``, each bitwise its own slice's encoding.
+    """
     a = np.asarray(a, dtype=np.float32)
-    c1, c2 = column_weights(a.shape[0])
+    c1, c2 = column_weights(a.shape[-2])
     return c1 @ a, c2 @ a
 
 
@@ -146,6 +150,36 @@ def verify_column_checksums(
         c[row, j] += delta
         verdict.corrections.append(Correction(row=row, col=int(j), delta=float(delta)))
     return verdict
+
+
+def verify_column_checksums_stacked(
+    c: np.ndarray,
+    c_check1: np.ndarray,
+    c_check2: np.ndarray,
+    atol: float = 1e-3,
+    rtol: float = 0.0,
+) -> list[ChecksumVerdict]:
+    """Per-trial :func:`verify_column_checksums` of a stacked ``C`` (T x M x N), in place.
+
+    ``c_check1``/``c_check2`` are ``(T, N)``.  Sums run along the row axis
+    of every trial at once, and every flagged column of every trial is
+    located and corrected in one vectorised pass; each trial's verdict and
+    corrected slice are bitwise the scalar routine's on that slice.  Like
+    the scalar routine, a NaN or inf element poisons its column's sums so
+    that the column is never flagged.
+    """
+    c = np.asarray(c)
+    rows = c.shape[-2]
+    sum1 = c.sum(axis=-2, dtype=np.float64)
+    sum2 = (np.arange(1, rows + 1, dtype=np.float64)[:, None] * c).sum(axis=-2)
+    res1 = np.asarray(c_check1, dtype=np.float64) - sum1
+    res2 = np.asarray(c_check2, dtype=np.float64) - sum2
+    magnitude = np.abs(c).sum(axis=-2, dtype=np.float64)
+    verdicts = _residual_verdicts(res1)
+    trial, col = np.nonzero(np.abs(res1) > _threshold(magnitude, atol, rtol))
+    ok, row = _locate(res1[trial, col], res2[trial, col], rows)
+    _apply_located(c, verdicts, trial, ok, row[ok], col[ok], res1[trial, col][ok])
+    return verdicts
 
 
 def verify_row_checksums(
@@ -232,11 +266,16 @@ def strided_sums(s: np.ndarray, stride: int = 8) -> tuple[np.ndarray, np.ndarray
     s = np.asarray(s)
     # Leading dims beyond the row axis (e.g. a stacked trial axis) broadcast
     # through unchanged: the accumulation per slice is the 2D accumulation.
+    return _strided_fold(s, stride), _strided_weighted_fold(s, stride)
+
+
+def _strided_weighted_fold(s: np.ndarray, stride: int) -> np.ndarray:
+    """``sum2`` of :func:`strided_sums` alone: group ``l`` weighted by ``l + 1``."""
     sum2 = np.zeros(s.shape[:-1] + (stride,), dtype=np.float64)
     for l in range(_num_groups(s.shape[-1], stride)):
         chunk = s[..., l * stride : (l + 1) * stride].astype(np.float64)
         sum2[..., : chunk.shape[-1]] += (l + 1) * chunk
-    return _strided_fold(s, stride), sum2
+    return sum2
 
 
 def _strided_fold(s: np.ndarray, stride: int) -> np.ndarray:
@@ -338,6 +377,30 @@ def verify_strided_checksums(
     return verdict
 
 
+def _strided_detect(
+    s: np.ndarray,
+    s_check1: np.ndarray,
+    stride: int,
+    atol: float,
+    rtol: float,
+    magnitude: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(finite, over, res1)`` of a stacked ``S``: the detection both stacked entries share.
+
+    ``finite[t]`` is True when ``S[t]`` holds no NaN or inf, ``over`` marks
+    each (row, class) residual over the threshold and ``res1`` is the
+    float64 unweighted residual.  For a finite slice, ``over`` and ``res1``
+    are bitwise what :func:`verify_strided_checksums` computes on it.
+    """
+    n_trials = s.shape[0]
+    finite = np.isfinite(s).reshape(n_trials, -1).all(axis=1)
+    res1 = np.asarray(s_check1, dtype=np.float64) - _strided_fold(s, stride)
+    mag = _strided_fold(np.abs(s), stride)
+    if magnitude is not None:
+        mag = np.maximum(np.asarray(magnitude, dtype=np.float64), mag)
+    return finite, np.abs(res1) > _threshold(mag, atol, rtol), res1
+
+
 def strided_checksum_flags(
     s: np.ndarray,
     s_check1: np.ndarray,
@@ -357,14 +420,68 @@ def strided_checksum_flags(
     those of checking it alone.  Nothing is corrected.
     """
     s = np.asarray(s)
-    n_trials = s.shape[0]
-    finite = np.isfinite(s).reshape(n_trials, -1).all(axis=1)
-    res1 = np.asarray(s_check1, dtype=np.float64) - _strided_fold(s, stride)
-    mag = _strided_fold(np.abs(s), stride)
-    if magnitude is not None:
-        mag = np.maximum(np.asarray(magnitude, dtype=np.float64), mag)
-    over = np.abs(res1) > _threshold(mag, atol, rtol)
-    return ~finite | over.reshape(n_trials, -1).any(axis=1), res1
+    finite, over, res1 = _strided_detect(s, s_check1, stride, atol, rtol, magnitude)
+    return ~finite | over.reshape(s.shape[0], -1).any(axis=1), res1
+
+
+def _residual_verdicts(res1: np.ndarray) -> list[ChecksumVerdict]:
+    """One verdict per trial of ``res1`` (T x ...) holding only its ``max_residual``.
+
+    The peak is the scalar routines' ``max(|res1|)`` of the trial's slice,
+    and ``0.0`` for an empty one.
+    """
+    n_trials = res1.shape[0]
+    if res1.size == 0:
+        return [ChecksumVerdict() for _ in range(n_trials)]
+    peaks = np.abs(res1).reshape(n_trials, -1).max(axis=1)
+    return [ChecksumVerdict(max_residual=peak) for peak in peaks.tolist()]
+
+
+def _locate(res1: np.ndarray, res2: np.ndarray, extent: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar verifiers' locate step over flagged residuals: ``(ok, position)``.
+
+    ``position`` is the rounded residual ratio minus one, and ``ok`` marks
+    the entries the scalar loop corrects: a residual not below float64's
+    smallest normal, a finite ratio within 0.25 of an integer (``np.rint``
+    rounds half to even, as Python's ``round`` does), and a position in
+    ``[0, extent)``.  ``position`` is 0 wherever ``ok`` is False.
+    """
+    usable = np.abs(res1) >= np.finfo(np.float64).tiny
+    ratio = np.divide(res2, res1, out=np.full_like(res1, np.nan), where=usable)
+    rounded = np.rint(ratio)
+    with np.errstate(invalid="ignore"):  # inf - inf on an infinite ratio
+        near = np.abs(ratio - rounded) <= 0.25
+    position = rounded - 1
+    ok = near & (position >= 0) & (position < extent)
+    return ok, np.where(ok, position, 0).astype(np.intp)
+
+
+def _apply_located(
+    a: np.ndarray,
+    verdicts: list[ChecksumVerdict],
+    trial: np.ndarray,
+    ok: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    delta: np.ndarray,
+) -> None:
+    """Correct ``a`` in place and fill the verdicts from the flagged entries.
+
+    ``trial`` and ``ok`` cover every flagged entry in the scalar loop's
+    order; ``rows``, ``cols`` and ``delta`` cover the ``ok`` ones.  Each
+    element gets ``a + delta`` in float64, cast back on assignment, as the
+    scalar ``a[row, col] += delta`` does; no two entries share an element.
+    """
+    n_trials = len(verdicts)
+    detected = np.bincount(trial, minlength=n_trials)
+    uncorrectable = np.bincount(trial[~ok], minlength=n_trials)
+    for t in np.flatnonzero(detected).tolist():
+        verdicts[t].detected = int(detected[t])
+        verdicts[t].uncorrectable = int(uncorrectable[t])
+    fixed = trial[ok]
+    a[fixed, rows, cols] = a[fixed, rows, cols] + delta
+    for t, row, col, d in zip(fixed.tolist(), rows.tolist(), cols.tolist(), delta.tolist()):
+        verdicts[t].corrections.append(Correction(row=row, col=col, delta=d))
 
 
 def verify_strided_checksums_stacked(
@@ -378,38 +495,40 @@ def verify_strided_checksums_stacked(
 ) -> list[ChecksumVerdict]:
     """Per-trial verify/correct of a stacked ``S`` (T x Br x Bc), in place.
 
-    Detection runs once over the stacked residuals
-    (:func:`strided_checksum_flags`).  A trial that is entirely finite with
-    every residual under threshold gets a synthesized clean verdict --
-    bitwise what :func:`verify_strided_checksums` returns when it corrects
-    nothing, without re-touching ``S``.  Every flagged trial falls back to
-    the scalar routine on its own slice *view*, so the non-finite repair, the
-    in-place corrections and the verdict bookkeeping are exactly the scalar
-    path's, and the corrections land in the stacked array.
+    Detection runs once over the stacked residuals.  Every flagged
+    (row, class) of every finite trial is then located and corrected in one
+    vectorised pass, so each trial's corrected slice and verdict (fields and
+    corrections in order) are bitwise what :func:`verify_strided_checksums`
+    gives on that slice.  A trial holding a NaN or inf element takes the
+    scalar routine on its own slice *view*: its non-finite repair works
+    element by element, and its corrections land in the stacked array.
     """
     s = np.asarray(s)
-    n_trials = s.shape[0]
-    flagged, res1 = strided_checksum_flags(s, s_check1, stride, atol, rtol, magnitude)
-
-    verdicts: list[ChecksumVerdict] = []
-    for t in range(n_trials):
-        if not flagged[t]:
-            verdict = ChecksumVerdict()
-            verdict.max_residual = float(np.max(np.abs(res1[t]))) if res1[t].size else 0.0
-            verdicts.append(verdict)
-            continue
-        # The slice views keep the scalar routine's in-place semantics; the
-        # original (pre-maximum) magnitude slice is forwarded because the
+    finite, over, res1 = _strided_detect(s, s_check1, stride, atol, rtol, magnitude)
+    verdicts = _residual_verdicts(res1)
+    over &= finite[:, None, None]
+    flagged = np.flatnonzero(over.reshape(s.shape[0], -1).any(axis=1))
+    if flagged.size:
+        res2 = np.asarray(s_check2, dtype=np.float64)[flagged] - _strided_weighted_fold(
+            s[flagged], stride
+        )
+        k, row, cls = np.nonzero(over[flagged])
+        trial = flagged[k]
+        cols = s.shape[-1]
+        ok, group = _locate(res1[trial, row, cls], res2[k, row, cls], _num_groups(cols, stride))
+        col = cls + stride * group
+        ok &= col < cols
+        _apply_located(s, verdicts, trial, ok, row[ok], col[ok], res1[trial, row, cls][ok])
+    for t in np.flatnonzero(~finite).tolist():
+        # The original (pre-maximum) magnitude slice is forwarded because the
         # scalar routine applies the strided |S| floor itself.
-        verdicts.append(
-            verify_strided_checksums(
-                s[t],
-                s_check1[t],
-                s_check2[t],
-                stride=stride,
-                atol=atol,
-                rtol=rtol,
-                magnitude=None if magnitude is None else magnitude[t],
-            )
+        verdicts[t] = verify_strided_checksums(
+            s[t],
+            s_check1[t],
+            s_check2[t],
+            stride=stride,
+            atol=atol,
+            rtol=rtol,
+            magnitude=None if magnitude is None else magnitude[t],
         )
     return verdicts

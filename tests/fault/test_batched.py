@@ -48,6 +48,11 @@ CASES = {
     "transformer_inference": (8, {"scheme": "none", "hidden_dim": 16, "seq_len": 8}),
 }
 
+#: The coverage kernel on a ragged shape: 37 columns leave stride classes of
+#: five and four columns.  At this rate the 64 trials at seed 11 flip values to
+#: NaN or inf and leave located errors uncorrectable, in both schemes.
+COVERAGE_RAGGED = (64, {"rows": 30, "cols": 37, "depth": 12, "bit_error_rate": 1e-5})
+
 #: A larger transformer workload: the wide ``lm_head`` projection only drifts
 #: for rare value patterns, so a handful of trials can miss a real parity bug
 #: (a fused 2D GEMM over stacked trials diverged on ~2 of 64 trials).
@@ -177,6 +182,50 @@ class TestByteParityAllCampaigns:
             executor=executor, n_workers=2,
         )
         assert batched == scalar
+
+
+class TestCoverageKernelParity:
+    """The coverage batch kernel verifies and corrects its whole trial stack at once."""
+
+    @staticmethod
+    def _probe(monkeypatch) -> dict:
+        """Count non-finite flips and the stacked verifiers' uncorrectable locates."""
+        import repro.fault.campaign as campaign_module
+
+        seen = {"nonfinite_flips": 0, "uncorrectable": 0}
+        flip_bit = campaign_module.flip_bit
+
+        def counting_flip(*args):
+            value = flip_bit(*args)
+            seen["nonfinite_flips"] += not np.isfinite(value)
+            return value
+
+        monkeypatch.setattr(campaign_module, "flip_bit", counting_flip)
+        for name in ("verify_strided_checksums_stacked", "verify_column_checksums_stacked"):
+            verify = getattr(campaign_module, name)
+
+            def counting_verify(*args, _verify=verify, **kwargs):
+                verdicts = _verify(*args, **kwargs)
+                seen["uncorrectable"] += sum(v.uncorrectable for v in verdicts)
+                return verdicts
+
+            monkeypatch.setattr(campaign_module, name, counting_verify)
+        return seen
+
+    @pytest.mark.parametrize("scheme", ["tensor", "element"])
+    def test_ragged_shape_matches_scalar_at_every_batch(self, scheme, tmp_path, monkeypatch):
+        n_trials, params = COVERAGE_RAGGED
+        params = {**params, "scheme": scheme}
+        seen = self._probe(monkeypatch)
+        scalar = _run_bytes(monkeypatch, tmp_path, "abft_error_coverage", 1, n_trials, params)
+        assert seen["uncorrectable"] == 0  # the scalar run never reaches the stacked verifiers
+        for batch in (3, 7, 16):
+            batched = _run_bytes(
+                monkeypatch, tmp_path, "abft_error_coverage", batch, n_trials, params
+            )
+            assert batched == scalar, batch
+        assert seen["nonfinite_flips"] > 0
+        assert seen["uncorrectable"] > 0
 
 
 class TestFaultModelParity:

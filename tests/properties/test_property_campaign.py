@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.exec.spec import ExperimentSpec
@@ -104,6 +105,35 @@ class TestSeedDerivation:
         long = draws(seed, range(9))
         assert draws(seed, range(5)) == long[:5]
         assert draws(seed, [7, 3]) == [long[7], long[3]]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        indices=st.lists(
+            st.integers(min_value=0, max_value=300), min_size=1, max_size=12, unique=True
+        ),
+    )
+    @settings(**SETTINGS)
+    def test_any_index_subset_draws_its_spawned_children(self, seed, indices):
+        # The documented contract: trial i draws from
+        # default_rng(SeedSequence(seed).spawn(n)[i]) for any n > i, whatever
+        # else (unsorted, with gaps) shares its batch.
+        children = np.random.SeedSequence(seed).spawn(max(indices) + 1)
+        expected = [int(np.random.default_rng(children[i]).integers(2**63)) for i in indices]
+        assert draws(seed, indices) == expected
+
+    def test_late_index_batch_spawns_no_siblings(self, monkeypatch):
+        # A batch costs O(its size): trial 10**6 - 1 alone derives its seed
+        # without spawning the 10**6 children before it.
+        class NoSpawn(np.random.SeedSequence):
+            def spawn(self, n_children):
+                raise AssertionError(f"spawn({n_children}) called")
+
+        index = 10**6 - 1
+        expected = int(
+            np.random.default_rng(np.random.SeedSequence(5, spawn_key=(index,))).integers(2**63)
+        )
+        monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+        assert draws(5, [index]) == [expected]
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),

@@ -1,16 +1,22 @@
 """Property-based tests of the ABFT checksum invariants (hypothesis)."""
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.gemm import checksum as checksum_module
 from repro.gemm.checksum import (
     encode_column_checksums,
     encode_row_checksums,
     encode_strided_row_checksums,
     strided_sums,
     verify_column_checksums,
+    verify_column_checksums_stacked,
     verify_strided_checksums,
+    verify_strided_checksums_stacked,
 )
 
 SETTINGS = dict(max_examples=30, deadline=None)
@@ -118,3 +124,146 @@ class TestStridedChecksumProperties:
         check1, check2 = strided_sums(s, 8)
         verdict = verify_strided_checksums(s.copy(), check1, check2, stride=8, atol=1e-3, rtol=1e-3)
         assert verdict.clean
+
+
+#: Errors a stacked-verifier case injects into one trial.  ``spike``: one large
+#: error.  ``pair``: two errors in one row's stride class (strided) or in one
+#: column (element), which the locate ratio cannot resolve.  ``bad_ratio``: a
+#: spike whose weighted checksum is shifted so the ratio falls out of range.
+#: ``nan`` / ``inf``: a non-finite element.
+ERROR_KINDS = ("spike", "pair", "bad_ratio", "nan", "inf")
+
+
+def _verdict_fields(verdict) -> tuple:
+    """Every verdict field, NaN-safe, with the corrections in order."""
+    corrections = [(c.row, c.col, repr(c.delta)) for c in verdict.corrections]
+    return verdict.detected, verdict.uncorrectable, repr(verdict.max_residual), corrections
+
+
+def _inject(stack, check2, errors, stride=None) -> None:
+    """Apply ``errors`` -- ``(trial, kind, row, col, size)`` -- in place.
+
+    ``stride`` is the strided scheme's; ``None`` means column checksums.
+    """
+    cols = stack.shape[-1]
+    for t, kind, row, col, size in errors:
+        if kind in ("nan", "inf"):
+            stack[t, row, col] = np.nan if kind == "nan" else -np.inf
+            continue
+        stack[t, row, col] += size
+        if kind == "pair" and stride:
+            stack[t, row, (col + stride) % cols] += 0.37 * size
+        elif kind == "pair":
+            stack[t, (row + 1) % stack.shape[1], col] += 0.37 * size
+        elif kind == "bad_ratio" and stride:
+            check2[t, row, col % stride] -= 100.0 * size
+        elif kind == "bad_ratio":
+            check2[t, col] -= 100.0 * size
+
+
+@st.composite
+def stacked_cases(draw):
+    trials = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 41))
+    errors = [
+        (t, draw(st.sampled_from(ERROR_KINDS)), draw(st.integers(0, rows - 1)),
+         draw(st.integers(0, cols - 1)), draw(st.sampled_from([-400.0, 60.0, 900.0])))
+        for t in range(trials)
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return trials, rows, cols, errors, draw(st.integers(0, 2**32 - 1))
+
+
+def _check_strided(trials, rows, cols, errors, seed, stride, with_magnitude):
+    """Stacked strided verify equals the scalar one per slice; returns its verdicts
+    and the trials that took the scalar fallback.
+    """
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal((trials, rows, cols)).astype(np.float32)
+    check1, check2 = strided_sums(s, stride)
+    magnitude = np.abs(rng.standard_normal((trials, rows, stride))) if with_magnitude else None
+    _inject(s, check2, errors, stride)
+    nonfinite = {t for t in range(trials) if not np.isfinite(s[t]).all()}
+    expected = s.copy()
+    scalar = [
+        verify_strided_checksums(
+            expected[t], check1[t], check2[t], stride=stride, atol=1e-3, rtol=1e-3,
+            magnitude=None if magnitude is None else magnitude[t],
+        )
+        for t in range(trials)
+    ]
+    with mock.patch.object(
+        checksum_module, "verify_strided_checksums", wraps=verify_strided_checksums
+    ) as fallback:
+        stacked = verify_strided_checksums_stacked(
+            s, check1, check2, stride=stride, atol=1e-3, rtol=1e-3, magnitude=magnitude
+        )
+    assert s.tobytes() == expected.tobytes()
+    assert [_verdict_fields(v) for v in stacked] == [_verdict_fields(v) for v in scalar]
+    # Only the trials holding a NaN or inf take the scalar routine.
+    assert fallback.call_count == len(nonfinite)
+    return stacked, nonfinite
+
+
+def _check_column(trials, rows, cols, errors, seed):
+    """Stacked column verify equals the scalar one per slice; returns the verdicts."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((trials, rows, cols)).astype(np.float32)
+    check1 = c.sum(axis=1, dtype=np.float64)
+    check2 = (np.arange(1, rows + 1)[:, None] * c.astype(np.float64)).sum(axis=1)
+    _inject(c, check2, errors)
+    expected = c.copy()
+    scalar = [
+        verify_column_checksums(expected[t], check1[t], check2[t], atol=1e-3, rtol=1e-3)
+        for t in range(trials)
+    ]
+    stacked = verify_column_checksums_stacked(c, check1, check2, atol=1e-3, rtol=1e-3)
+    assert c.tobytes() == expected.tobytes()
+    assert [_verdict_fields(v) for v in stacked] == [_verdict_fields(v) for v in scalar]
+    return stacked
+
+
+class TestStackedVerifiersMatchScalar:
+    """The stacked verifiers equal their scalar routines on every slice."""
+
+    @given(case=stacked_cases(), stride=st.sampled_from([4, 8]), with_magnitude=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_strided_stack_matches_scalar_per_slice(self, case, stride, with_magnitude):
+        _check_strided(*case, stride, with_magnitude)
+
+    @given(case=stacked_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_column_stack_matches_scalar_per_slice(self, case):
+        _check_column(*case)
+
+    #: One trial per path on a ragged 37-column block: clean, a corrected
+    #: spike, an unresolvable pair, an out-of-range ratio, NaN and inf.
+    PINNED = [
+        (1, "spike", 2, 11, 900.0),
+        (2, "pair", 0, 3, -400.0),
+        (3, "bad_ratio", 4, 36, 60.0),
+        (4, "nan", 1, 20, 0.0),
+        (5, "inf", 3, 0, 0.0),
+    ]
+
+    @pytest.mark.parametrize("with_magnitude", [False, True])
+    def test_strided_stack_runs_both_paths(self, with_magnitude):
+        verdicts, fallback_trials = _check_strided(6, 5, 37, self.PINNED, 7, 8, with_magnitude)
+        assert fallback_trials == {4, 5}
+        assert verdicts[0].clean
+        # The vectorised pass corrected trial 1 and gave up on trials 2 and 3.
+        assert verdicts[1].corrected == 1 and verdicts[1].uncorrectable == 0
+        assert verdicts[2].uncorrectable >= 1
+        assert verdicts[3].uncorrectable == 1 and verdicts[3].corrected == 0
+        # The scalar fallback repaired the NaN and the inf.
+        assert verdicts[4].corrected >= 1 and verdicts[5].corrected >= 1
+
+    def test_column_stack_keeps_scalar_nonfinite_behaviour(self):
+        verdicts = _check_column(6, 5, 37, self.PINNED, 7)
+        assert verdicts[0].clean
+        assert verdicts[1].corrected == 1
+        assert verdicts[2].uncorrectable >= 1
+        assert verdicts[3].uncorrectable == 1
+        # A NaN or inf element poisons its column's sums: never flagged.
+        assert verdicts[4].clean and verdicts[5].clean
