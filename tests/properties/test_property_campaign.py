@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.exec.spec import ExperimentSpec
-from repro.fault.runner import _run_trial_batch, register_campaign
+from repro.fault.runner import _run_trial_batch, _trial_seed, register_campaign
 
 SETTINGS = dict(max_examples=50, deadline=None)
 
@@ -100,7 +100,7 @@ class TestSeedDerivation:
     @settings(max_examples=25, deadline=None)
     def test_prefix_stability_under_trial_count_growth(self, seed):
         # Growing a campaign keeps the streams of already-run trials
-        # unchanged, and a batch derives only up to its largest index: what
+        # unchanged, and a batch derives only the indices it runs: what
         # makes resume-with-extended-spec and any sharding sound.
         long = draws(seed, range(9))
         assert draws(seed, range(5)) == long[:5]
@@ -120,6 +120,29 @@ class TestSeedDerivation:
         children = np.random.SeedSequence(seed).spawn(max(indices) + 1)
         expected = [int(np.random.default_rng(children[i]).integers(2**63)) for i in indices]
         assert draws(seed, indices) == expected
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        parent_key=st.lists(st.integers(min_value=0, max_value=50), max_size=3),
+        pool_size=st.sampled_from([4, 8]),
+        index=st.integers(min_value=0, max_value=300),
+    )
+    @settings(**SETTINGS)
+    def test_trial_seed_is_the_spawned_child_of_any_root(
+        self, seed, parent_key, pool_size, index
+    ):
+        # _trial_seed extends whatever spawn key and pool size its root has,
+        # so it stays spawn(n)[i] for a root that is itself a spawned child.
+        def root():
+            return np.random.SeedSequence(
+                seed, spawn_key=tuple(parent_key), pool_size=pool_size
+            )
+
+        child = _trial_seed(root(), index)
+        spawned = root().spawn(index + 1)[index]
+        assert child.spawn_key == spawned.spawn_key
+        assert child.pool_size == spawned.pool_size
+        assert child.generate_state(4).tolist() == spawned.generate_state(4).tolist()
 
     def test_late_index_batch_spawns_no_siblings(self, monkeypatch):
         # A batch costs O(its size): trial 10**6 - 1 alone derives its seed

@@ -43,6 +43,24 @@ class TestTraditionalChecksumProperties:
         weights = np.arange(1, a.shape[0] + 1, dtype=np.float64)
         np.testing.assert_allclose(c2, weights @ a.astype(np.float64), rtol=1e-4, atol=1e-3)
 
+    @given(
+        lead=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+        rows=st.integers(1, 12),
+        cols=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(**SETTINGS)
+    def test_column_encoding_passes_leading_axes_through(self, lead, rows, cols, seed):
+        # The coverage batch kernel encodes its whole (trials, M, K) stack at
+        # once: every slice must be bitwise its own 2D encoding.
+        stack = np.random.default_rng(seed).standard_normal((*lead, rows, cols))
+        c1, c2 = encode_column_checksums(stack)
+        assert c1.shape == c2.shape == (*lead, cols)
+        for index in np.ndindex(*lead):
+            s1, s2 = encode_column_checksums(stack[index])
+            assert c1[index].tobytes() == s1.tobytes()
+            assert c2[index].tobytes() == s2.tobytes()
+
     @given(b=matrices())
     @settings(**SETTINGS)
     def test_row_checksum_is_linear_in_columns(self, b):
