@@ -22,6 +22,13 @@ compared bit for bit:
   fault campaign of perfbench's ``campaign-transformer`` workload (seed 0,
   serial executor, jsonl store), hashed through the store's canonical export.
   The count is the number of trials.
+* ``campaign-transformer-faultmodels`` -- the same for the transformer
+  campaign in bit-error-rate mode at about one fault per trial, so that
+  trials carry zero, one or several faults: a transient (``seu``) and a
+  persistent (``stuck_at_1``) fault model, a GELU (GPT2) and a ReLU
+  (T5-Small) model, schemes none, efta_unified and decoupled, each on the
+  linear site alone (scheme none's fast path) and on a linear/attention
+  site list.
 * ``campaign-abft-coverage`` -- the same for the ``abft_error_coverage``
   campaign on a ragged 30 x 37 x 12 block (scheme tensor and element x bit
   error rate 1e-7 and 1e-5, 200 trials each), run on the ``process`` executor
@@ -92,6 +99,22 @@ CAMPAIGN_SPEC = {
     "grid": {
         "scheme": ["none", "efta_unified", "decoupled"],
         "site": ["linear", "gemm_qk", "gemm_pv"],
+    },
+}
+
+#: The transformer campaign with zero, one or several faults per trial: at
+#: hidden size 32, two layers and 16 tokens a forward exposes 5.4e7 bits,
+#: so this rate draws 1.02 faults per trial on average, for both models.
+MULTI_FAULT_SPEC = {
+    "campaign": "transformer_inference",
+    "n_trials": 24,
+    "seed": 0,
+    "params": {"hidden_dim": 32, "seq_len": 16, "bit_error_rate": 1.9e-8},
+    "grid": {
+        "model": ["GPT2", "T5-Small"],
+        "fault_model": ["seu", "stuck_at_1"],
+        "scheme": ["none", "efta_unified", "decoupled"],
+        "site": ["linear", ["linear", "gemm_qk", "gemm_pv"]],
     },
 }
 
@@ -227,6 +250,10 @@ def main() -> int:
         ("kernels", kernel_digest),
         ("kernels-two-site", two_site_digest),
         ("campaign-transformer", functools.partial(campaign_digest, CAMPAIGN_SPEC)),
+        (
+            "campaign-transformer-faultmodels",
+            functools.partial(campaign_digest, MULTI_FAULT_SPEC),
+        ),
         (
             "campaign-abft-coverage",
             functools.partial(campaign_digest, COVERAGE_SPEC, "process", 2),

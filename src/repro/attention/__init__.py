@@ -6,18 +6,12 @@ tiled/online formulation (Equations 1-7) whose block structure the end-to-end
 fault-tolerant attention (EFTA) reuses.
 """
 
-from repro.attention.softmax import (
-    OnlineSoftmaxState,
-    block_softmax,
-    log_sum_exp,
-    stable_softmax,
-)
+from repro.attention.softmax import block_softmax, log_sum_exp, stable_softmax
 from repro.attention.tiling import num_blocks, partition_blocks, split_heads, merge_heads
 from repro.attention.standard import standard_attention
 from repro.attention.flash import flash_attention
 
 __all__ = [
-    "OnlineSoftmaxState",
     "block_softmax",
     "log_sum_exp",
     "stable_softmax",

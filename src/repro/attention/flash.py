@@ -2,49 +2,23 @@
 
 This is the single-kernel, O(n) memory formulation that EFTA extends with
 fault tolerance.  The outer loop walks blocks of query rows; the inner loop
-streams key/value blocks, folding each into the online softmax state.
+streams key/value blocks, folding each into the online softmax state: a
+running row maximum, a running normaliser and an un-normalised output
+accumulator, rescaled whenever a block raises the maximum.
 
-Two implementations share the entry point: :func:`_flash_single` runs one
-``(seq_len, head_dim)`` slice through :class:`OnlineSoftmaxState` (the scalar
-oracle), and :func:`_flash_stacked` advances *all* leading (batch, head)
-groups through the same tile recurrence with one stacked tensor op per step.
-The stacked path performs the identical float32 operations in the identical
-order, so its output is bitwise equal to running the oracle per group --
-pinned by ``tests/attention/test_standard_and_flash.py``.
+:func:`_flash_stacked` advances *all* leading (batch, head) groups through
+that tile recurrence with one stacked tensor op per step.  Its output is
+bitwise equal to running a scalar oracle per group -- pinned by
+``tests/attention/test_standard_and_flash.py`` against the oracle in
+``tests/attention/flash_oracle.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.attention.softmax import OnlineSoftmaxState
 from repro.attention.tiling import partition_blocks
 from repro.fp.float16 import FP16Operand, fp16_matmul
-
-
-def _flash_single(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    scale: float,
-    block_size: int,
-    mixed_precision: bool,
-) -> np.ndarray:
-    seq_len, head_dim = q.shape
-    out = np.empty((seq_len, head_dim), dtype=np.float32)
-    for row_blk in partition_blocks(seq_len, block_size):
-        q_i = q[row_blk]
-        state = OnlineSoftmaxState.initial(q_i.shape[0], head_dim)
-        for col_blk in partition_blocks(k.shape[0], block_size):
-            k_j = k[col_blk]
-            v_j = v[col_blk]
-            if mixed_precision:
-                scores = fp16_matmul(q_i, k_j.T) * np.float32(scale)
-            else:
-                scores = (q_i @ k_j.T).astype(np.float32) * np.float32(scale)
-            state.update(scores, v_j)
-        out[row_blk] = state.finalize()
-    return out
 
 
 def _flash_stacked(
@@ -57,10 +31,8 @@ def _flash_stacked(
 ) -> np.ndarray:
     """All groups of ``(groups, seq_len, head_dim)`` through the tile loop at once.
 
-    Mirrors :meth:`OnlineSoftmaxState.update` / ``finalize`` step for step with
-    a leading group axis; every op is either elementwise, a last-axis
-    reduction, or a stacked GEMM, all of which NumPy evaluates identically to
-    the per-slice forms.  With ``mixed_precision`` the score GEMM's operands
+    Every op is either elementwise, a last-axis reduction, or a stacked
+    GEMM, all of which NumPy evaluates identically to the per-slice forms.  With ``mixed_precision`` the score GEMM's operands
     are rounded to FP16 once each: ``K^T`` up front (viewed per column block),
     ``Q_i`` per row block.
     """

@@ -1,16 +1,14 @@
-"""Numerically stable softmax primitives and the online (streaming) softmax state.
+"""Numerically stable softmax primitives.
 
-The fused attention kernel never materialises the full score matrix: it keeps,
-per output row, a running maximum ``m``, a running normaliser ``l`` and an
-un-normalised output accumulator ``O`` that are rescaled whenever a new block
-raises the maximum (Equations 1-7).  :class:`OnlineSoftmaxState` implements
-exactly that recurrence and is shared by the unprotected flash attention and
-by EFTA (which additionally threads checksums through the same updates).
+The fused attention kernels never materialise the full score matrix: each
+keeps, per output row, a running maximum ``m``, a running normaliser ``l``
+and an un-normalised output accumulator ``O`` that are rescaled whenever a
+new block raises the maximum (Equations 1-7).  Each kernel spells that
+recurrence out over its stacked tiles; this module holds the row-wise
+primitives around it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,77 +37,3 @@ def log_sum_exp(x: np.ndarray, axis: int = -1) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     m = np.max(x, axis=axis, keepdims=True)
     return (m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))).squeeze(axis)
-
-
-@dataclass
-class OnlineSoftmaxState:
-    """Running state of the streaming softmax for one block of output rows.
-
-    Attributes
-    ----------
-    row_max:
-        Current running maximum ``m_i`` per row (shape ``(rows,)``).
-    row_sum:
-        Current running normaliser ``l_i`` per row (shape ``(rows,)``),
-        expressed relative to ``row_max``.
-    output:
-        Un-normalised output accumulator ``O_i`` (shape ``(rows, head_dim)``),
-        also expressed relative to ``row_max``.
-    block_maxes:
-        History of per-iteration local row maxima, needed by SNVR's rowsum
-        range restriction (lower bound ``sum_k exp(m_ik - m_ij)``).
-    """
-
-    row_max: np.ndarray
-    row_sum: np.ndarray
-    output: np.ndarray
-    block_maxes: list[np.ndarray]
-
-    @classmethod
-    def initial(cls, rows: int, head_dim: int) -> "OnlineSoftmaxState":
-        """Fresh state: max = -inf, sum = 0, output = 0."""
-        return cls(
-            row_max=np.full(rows, -np.inf, dtype=np.float32),
-            row_sum=np.zeros(rows, dtype=np.float32),
-            output=np.zeros((rows, head_dim), dtype=np.float32),
-            block_maxes=[],
-        )
-
-    def update(self, scores: np.ndarray, value_block: np.ndarray) -> dict[str, np.ndarray]:
-        """Fold one score block and its value block into the running state.
-
-        Implements lines 10-20 of Algorithm 1 without any protection: reduce
-        max, exponentiate, rescale the previous accumulator, and accumulate
-        ``P_ij V_j``.
-
-        Returns a dict of the intermediate quantities (``probs``, ``scale``,
-        ``new_max``, ``local_max``) so that protected variants can thread
-        checksums through identical numerics.
-        """
-        scores = np.asarray(scores, dtype=np.float32)
-        local_max = scores.max(axis=1)
-        new_max = np.maximum(self.row_max, local_max)
-        probs = np.exp(scores - new_max[:, None]).astype(np.float32)
-        scale = np.exp(self.row_max - new_max).astype(np.float32)
-        scale = np.where(np.isfinite(scale), scale, 0.0).astype(np.float32)
-        self.row_sum = scale * self.row_sum + probs.sum(axis=1, dtype=np.float32)
-        self.output = scale[:, None] * self.output + probs @ np.asarray(value_block, dtype=np.float32)
-        self.row_max = new_max
-        self.block_maxes.append(local_max)
-        return {"probs": probs, "scale": scale, "new_max": new_max, "local_max": local_max}
-
-    def finalize(self) -> np.ndarray:
-        """Normalise the accumulator by the global row sums and return O."""
-        denom = np.where(self.row_sum > 0.0, self.row_sum, 1.0)
-        return (self.output / denom[:, None]).astype(np.float32)
-
-    def rowsum_lower_bound(self) -> np.ndarray:
-        """SNVR lower bound on the final rowsum: ``sum_k exp(m_ik - m_i)``.
-
-        Every block contributes at least ``exp(m_ik - m_i)`` to the final
-        normaliser because its row maximum appears in the sum with that scale.
-        """
-        if not self.block_maxes:
-            return np.zeros_like(self.row_sum)
-        stacked = np.stack(self.block_maxes, axis=0)
-        return np.exp(stacked - self.row_max[None, :]).sum(axis=0).astype(np.float32)

@@ -56,29 +56,37 @@ def dmr_row_softmax_stacked(
 
     Both softmax executions and the agreement comparison run once over the
     stack (row softmax and the elementwise checks are per-slice, so a trial's
-    values do not depend on the stack).  Trials whose duplicate agrees and
-    whose row sums hold get zero stats without further work; a flagged trial
-    runs the retry loop on its own slice -- starting from the already-offered
-    primary, so the injector is not consulted again.
+    values do not depend on the stack).  A trial whose duplicate is equal
+    and whose row sums are finite (so every value is) agrees without the
+    tolerance test, which runs only on the other trials.  Trials whose
+    duplicate agrees and whose row sums hold get zero stats without further
+    work; a flagged trial runs the retry loop on its own slice -- starting
+    from the already-offered primary, so the injector is not consulted again.
 
     ``router`` fans the single :data:`FaultSite.SOFTMAX` offer out to every
     trial's injector on its own slice.  :func:`dmr_row_softmax` is this at a
     trial axis of one.
     """
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     scores = np.asarray(scores, dtype=np.float32)
     n_trials = scores.shape[0]
     primary = stable_softmax(scores, axis=-1)
     router.corrupt(FaultSite.SOFTMAX, primary)
     reference = stable_softmax(scores, axis=-1)
 
-    # Unnamed temporaries: the agreement masks are freed before any retry
-    # allocates its recomputed softmaxes, which keeps the peak footprint down.
-    ok = (
-        (np.abs(primary - reference) <= tolerance * np.maximum(np.abs(reference), 1e-6))
-        .reshape(n_trials, -1)
-        .all(axis=1)
-    )
     rowsums = primary.sum(axis=-1)
+    # Equal finite values pass the tolerance test, and a finite sum has only
+    # finite addends.  Unnamed temporaries: the agreement masks are freed
+    # before any retry allocates its recomputed softmaxes, which keeps the
+    # peak footprint down.
+    ok = (primary == reference).reshape(n_trials, -1).all(axis=1)
+    ok &= np.isfinite(rowsums).reshape(n_trials, -1).all(axis=1)
+    for t in np.flatnonzero(~ok):
+        ok[t] = np.all(
+            np.abs(primary[t] - reference[t])
+            <= tolerance * np.maximum(np.abs(reference[t]), 1e-6)
+        )
     violation_counts = (np.abs(rowsums - 1.0) > tolerance).reshape(n_trials, -1).sum(axis=1)
 
     out = primary

@@ -201,9 +201,9 @@ class UnprotectedAttention(ProtectionScheme):
     propagate to the output *undetected* -- the silent-data-corruption
     reference the coverage campaigns compare protected schemes against.
 
-    The recurrence is spelled out here (like EFTA's own kernel) rather than
-    reusing ``OnlineSoftmaxState`` because the injector must see each
-    intermediate between the fused update's steps; bit-identity with
+    The recurrence is spelled out here (like EFTA's own kernel) because the
+    injector must see each intermediate between the fused update's steps;
+    bit-identity with
     ``flash_attention`` is pinned by
     ``tests/core/test_schemes.py::TestParityWithHardwiredClasses``.  Like
     EFTA, it stacks each row panel's tiles: one GEMM I per panel, the rest
@@ -298,8 +298,8 @@ def _unprotected_span(router, i, first, scores, v_r, panel, a, b) -> bool:
     rescale = np.exp(maxes[:, :-1] - new_max)
     rescale = np.where(np.isfinite(rescale), rescale, np.float32(0.0))
     tile_sums = probs.sum(axis=-1, dtype=np.float32)
-    # FP32 value accumulation, matching flash_attention's
-    # OnlineSoftmaxState.update (only the score GEMM is FP16).
+    # FP32 value accumulation, matching flash_attention (only the score
+    # GEMM is FP16).
     pv = np.matmul(probs, v_r[:, a:b])
     row_sum, acc = panel.row_sum, panel.acc
     for t, block in enumerate(blocks):

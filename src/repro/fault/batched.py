@@ -30,6 +30,13 @@ Byte-parity with the per-trial model forward is enforced by
   forward (same sites, same blocks, same per-trial array shapes), so its
   occurrence counting and element draws are unchanged.
 
+Most of a trial repeats the fault-free run: its values are fault-free until
+its fault fires and wherever the fault never reaches.  The FFN's GELU, the
+costliest elementwise op of the forward, therefore runs only on the
+elements whose input bits differ from the fault-free run's and copies the
+fault-free output everywhere else (:func:`_golden_activations`); GELU is
+elementwise, so the values are the ones evaluating every element gives.
+
 The model-level step still exists twice: ``TransformerModel.forward`` and
 :func:`_forward_batched` (``perfbench`` traces both by module path, so
 merging them waits for the next benchmark change).  A scheme whose
@@ -127,7 +134,9 @@ def _record_verdicts(verdicts, reports, stage: str) -> None:
         report.record_uncorrectable(stage, verdict.uncorrectable)
 
 
-def _forward_batched_unprotected(model, token_ids: np.ndarray, router: _BatchFaultRouter) -> np.ndarray:
+def _forward_batched_unprotected(
+    model, token_ids: np.ndarray, router: _BatchFaultRouter, activations: list
+) -> np.ndarray:
     """One stacked forward of the scheme-``"none"`` model, returning logits.
 
     Fast path for linear-only fault sites: the attention math runs through the
@@ -135,9 +144,11 @@ def _forward_batched_unprotected(model, token_ids: np.ndarray, router: _BatchFau
     (bit-identical to ``UnprotectedAttention``), skipping the per-tile
     ``corrupt`` offers -- which is sound because occurrence counting is per
     site, so offers at attention sites cannot influence linear-site faults.
+    ``activations`` holds one FFN activation per block (see
+    :func:`_golden_activations`).
     """
     x = model.embedding(token_ids)
-    for block in model.blocks:
+    for block, activate in zip(model.blocks, activations):
         mha = block.attention
         cfg = mha.attention.config
         h = block.ln_attn(x)
@@ -156,7 +167,7 @@ def _forward_batched_unprotected(model, token_ids: np.ndarray, router: _BatchFau
         x = x + out
         f = block.ln_ffn(x)
         hidden, _ = _linear_batched(block.ffn.fc_in, f, router, False)
-        ffn_out, _ = _linear_batched(block.ffn.fc_out, block.ffn.activation(hidden), router, False)
+        ffn_out, _ = _linear_batched(block.ffn.fc_out, activate(hidden), router, False)
         x = x + ffn_out
     x = model.final_norm(x)
     logits, _ = _linear_batched(model.lm_head, x, router, False)
@@ -168,19 +179,21 @@ def _forward_batched(
     token_ids: np.ndarray,
     router: _BatchFaultRouter,
     reports: list[FaultToleranceReport],
+    activations: list,
 ) -> np.ndarray:
     """One stacked forward mirroring ``TransformerModel.forward`` for any
     scheme whose attention kernel supports the batched path.
 
     Follows the scalar model step for step: pre-norm blocks, QKV projections
     recorded after all three (like ``MultiHeadAttention``), the scheme's own
-    ``forward_batched`` attention, the FFN activation clamp with per-trial
-    restriction counts, and an LM head that is verified but -- like the
-    scalar forward -- never recorded in the report.
+    ``forward_batched`` attention, the FFN activation (one per block in
+    ``activations``, see :func:`_golden_activations`) and its clamp with
+    per-trial restriction counts, and an LM head that is verified but --
+    like the scalar forward -- never recorded in the report.
     """
     protect = model.protects_linear
     x = model.embedding(token_ids)
-    for block in model.blocks:
+    for block, activate in zip(model.blocks, activations):
         mha = block.attention
         h = block.ln_attn(x)
         q, vq = _linear_batched(mha.q_proj, h, router, protect)
@@ -202,7 +215,7 @@ def _forward_batched(
         f = block.ln_ffn(x)
         hidden, vi = _linear_batched(block.ffn.fc_in, f, router, protect)
         _record_verdicts(vi, reports, "ffn_in")
-        activated = block.ffn.activation(hidden)
+        activated = activate(hidden)
         if protect:
             bound = block.ffn.activation_bound
             clipped = np.clip(activated, -bound, bound)
@@ -223,6 +236,81 @@ def _forward_batched(
     return logits
 
 
+# --------------------------------------------------------------------------- #
+# Golden activation trace
+# --------------------------------------------------------------------------- #
+def _reusing(activation, golden_in: np.ndarray, golden_out: np.ndarray):
+    """``activation``, evaluated only where the input leaves the fault-free run.
+
+    ``golden_in`` and ``golden_out`` are one block's activation input and
+    output in the fault-free forward at a trial axis of one.  An element
+    whose float32 bit pattern equals the fault-free input's takes the
+    fault-free output; the rest -- the elements a fault reached -- are
+    gathered into one contiguous array and evaluated.  Bit patterns decide,
+    not values: ``-0.0 == 0.0`` although GELU(-0.0) is -0.0, and a NaN never
+    equals itself.  The activation is elementwise, so every output that is
+    not a NaN is bitwise the one evaluating the whole stack gives.  Only a
+    NaN's payload may differ (GELU's last multiply has two NaN operands, and
+    NumPy's loops pick either one), and no record reads a payload.
+    """
+
+    def activate(hidden: np.ndarray) -> np.ndarray:
+        hidden = np.asarray(hidden, dtype=np.float32)
+        fresh = hidden.view(np.uint32) != golden_in.view(np.uint32)
+        out = np.broadcast_to(golden_out, hidden.shape).copy()
+        if fresh.any():
+            out[fresh] = activation(hidden[fresh])
+        return out
+
+    return activate
+
+
+def _golden_trace(model, ids: np.ndarray, use_flash: bool) -> list:
+    """Each block's fault-free activation ``(input, output)`` on one forward path.
+
+    Recorded by one clean pass of the path's batched forward at a trial
+    axis of one, so a trial's values equal them wherever no fault reached.
+    """
+    trace = []  # the forward calls each block's activation once, in order
+
+    def recording(activation):
+        def record(hidden: np.ndarray) -> np.ndarray:
+            out = activation(hidden)
+            trace.append((np.asarray(hidden, dtype=np.float32), out))
+            return out
+
+        return record
+
+    activations = [recording(block.ffn.activation) for block in model.blocks]
+    router = _BatchFaultRouter([None])
+    if use_flash:
+        _forward_batched_unprotected(model, ids, router, activations)
+    else:
+        _forward_batched(model, ids, router, [FaultToleranceReport()], activations)
+    return trace
+
+
+def _golden_activations(fixture, use_flash: bool) -> list:
+    """The blocks' activations for a batch of trials on ``fixture``'s model.
+
+    GELU reuses the fault-free run's values (:func:`_reusing`); the golden
+    trace is recorded on first use per forward path and kept in the
+    fixture, so it is evicted and rebuilt with the model it came from.  ReLU
+    (T5) runs as is: it is one cheap pass, which comparing bit patterns
+    would not beat.
+    """
+    from repro.transformer.layers import relu
+
+    activations = [block.ffn.activation for block in fixture.model.blocks]
+    if all(activation is relu for activation in activations):
+        return activations
+    trace = fixture.gelu_traces.get(use_flash)
+    if trace is None:
+        trace = _golden_trace(fixture.model, fixture.ids, use_flash)
+        fixture.gelu_traces[use_flash] = trace
+    return [_reusing(activation, *golden) for activation, golden in zip(activations, trace)]
+
+
 def _transformer_inference_batch(rngs: list, params: dict) -> list[dict] | None:
     """Batched transformer trials: one stacked forward for the whole chunk.
 
@@ -237,7 +325,8 @@ def _transformer_inference_batch(rngs: list, params: dict) -> list[dict] | None:
     from repro.fault.metrics import TrialOutcome
     from repro.fault.models import FaultSite, FaultSpec
 
-    model, ids, clean_logits, site_counts = _transformer_fixture(params)
+    fixture = _transformer_fixture(params)
+    model, ids, clean_logits, site_counts, _ = fixture
     fault_model = str(params.get("fault_model", "seu"))
     model_params = dict(params.get("model_params", {}))
     replay_trials = None
@@ -316,12 +405,13 @@ def _transformer_inference_batch(rngs: list, params: dict) -> list[dict] | None:
     n_trials = len(rngs)
     token_batch = _token_batch(ids, n_trials)
     router = _BatchFaultRouter(injectors)
+    activations = _golden_activations(fixture, use_flash)
     if use_flash:
         reports = None
-        logits = _forward_batched_unprotected(model, token_batch, router)
+        logits = _forward_batched_unprotected(model, token_batch, router, activations)
     else:
         reports = [FaultToleranceReport() for _ in range(n_trials)]
-        logits = _forward_batched(model, token_batch, router, reports)
+        logits = _forward_batched(model, token_batch, router, reports, activations)
 
     denom = max(float(np.abs(clean_logits).max()), 1e-12)
     # One stacked |faulty - clean| pass; the per-trial max over its own slice

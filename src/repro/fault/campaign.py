@@ -23,6 +23,7 @@ batched/per-trial ratios behind that split).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,9 @@ from repro.gemm.checksum import (
     verify_strided_checksums,
     verify_strided_checksums_stacked,
 )
+
+if TYPE_CHECKING:
+    from repro.transformer.model import TransformerModel
 
 
 # --------------------------------------------------------------------------- #
@@ -580,12 +584,27 @@ def _efta_site_trial(rng: np.random.Generator, params: dict) -> dict:
 # --------------------------------------------------------------------------- #
 # Transformer-level campaign: inject during a full TransformerModel forward
 # --------------------------------------------------------------------------- #
-#: Per-worker LRU cache of (model, token ids, clean logits, site counts)
-#: fixtures keyed by the workload parameters; bounded so grid sweeps over
-#: many models stay small.  Insertion order doubles as recency order: hits
-#: re-insert the entry at the back, and only the front (least recently used)
-#: entry is evicted when the cache is full.
-_TRANSFORMER_FIXTURES: dict[tuple, tuple] = {}
+class _TransformerFixture(NamedTuple):
+    """One transformer workload: the model, its prompt and its fault-free run."""
+
+    model: TransformerModel
+    ids: np.ndarray
+    clean_logits: np.ndarray
+    #: ``corrupt`` offers per fault site in one probed forward.
+    site_counts: dict
+    #: The fault-free activation inputs and outputs of each block, keyed by
+    #: batched forward path (``True`` for the unprotected flash path);
+    #: :mod:`repro.fault.batched` fills it on first use.  It lives here so
+    #: that it is evicted, and rebuilt, with its model.
+    gelu_traces: dict
+
+
+#: Per-worker LRU cache of :class:`_TransformerFixture` keyed by the workload
+#: parameters; bounded so grid sweeps over many models stay small.  Insertion
+#: order doubles as recency order: hits re-insert the entry at the back, and
+#: only the front (least recently used) entry is evicted when the cache is
+#: full.
+_TRANSFORMER_FIXTURES: dict[tuple, _TransformerFixture] = {}
 _TRANSFORMER_FIXTURE_LIMIT = 16
 
 
@@ -613,7 +632,7 @@ class _SiteProbe:
         self.counts[site] += 1
 
 
-def _transformer_fixture(params: dict) -> tuple:
+def _transformer_fixture(params: dict) -> _TransformerFixture:
     """Deterministically build (or fetch) the trial's model and clean oracle.
 
     The model, the prompt, the fault-free logits and the per-site injection
@@ -654,8 +673,9 @@ def _transformer_fixture(params: dict) -> tuple:
         # `limit` distinct workloads per worker rebuild the model and the
         # clean-logit oracle on nearly every trial.
         _TRANSFORMER_FIXTURES.pop(next(iter(_TRANSFORMER_FIXTURES)))
-    _TRANSFORMER_FIXTURES[key] = (model, ids, clean_logits, dict(probe.counts))
-    return _TRANSFORMER_FIXTURES[key]
+    fixture = _TransformerFixture(model, ids, clean_logits, dict(probe.counts), {})
+    _TRANSFORMER_FIXTURES[key] = fixture
+    return fixture
 
 
 def _weight_tensors(model) -> list[tuple[str, np.ndarray]]:
@@ -767,7 +787,7 @@ def _transformer_inference_trial(rng: np.random.Generator, params: dict) -> dict
     from repro.fault.injector import FaultInjector
     from repro.fault.models import FaultSite, FaultSpec
 
-    model, ids, clean_logits, site_counts = _transformer_fixture(params)
+    model, ids, clean_logits, site_counts, _ = _transformer_fixture(params)
     tol = float(params.get("correction_tol", 0.02))
     replay = _resolve_faultload_trial(params)
     if replay is not None:

@@ -121,19 +121,21 @@ def verify_column_checksums(
     per column is located via the residual ratio and corrected in place.  A
     ratio that is not finite (the weighted checksum overflowed, as FP16
     operands with weights up to ``M`` do past 65504) locates nothing: the
-    column counts as uncorrectable.
+    column counts as uncorrectable.  The weighted sums (an M x N float64
+    temporary) only locate, so they are built only once a column is flagged.
     """
     c = np.asarray(c)
     sum1 = c.sum(axis=0, dtype=np.float64)
-    sum2 = (np.arange(1, c.shape[0] + 1, dtype=np.float64)[:, None] * c).sum(axis=0)
     res1 = np.asarray(c_check1, dtype=np.float64) - sum1
-    res2 = np.asarray(c_check2, dtype=np.float64) - sum2
     verdict = ChecksumVerdict()
     verdict.max_residual = float(np.max(np.abs(res1))) if res1.size else 0.0
     magnitude = np.abs(c).sum(axis=0, dtype=np.float64)
     thresh = _threshold(magnitude, atol, rtol)
     bad_cols = np.nonzero(np.abs(res1) > thresh)[0]
     verdict.detected = int(bad_cols.size)
+    if bad_cols.size:
+        sum2 = (np.arange(1, c.shape[0] + 1, dtype=np.float64)[:, None] * c).sum(axis=0)
+        res2 = np.asarray(c_check2, dtype=np.float64) - sum2
     for j in bad_cols:
         if abs(res1[j]) < np.finfo(np.float64).tiny:
             verdict.uncorrectable += 1
@@ -192,19 +194,20 @@ def verify_row_checksums(
     """Verify/correct ``C`` (M x N) against row checksums of shape (M,).
 
     The row-wise twin of :func:`verify_column_checksums`, with the same rule
-    for a non-finite locate ratio.
+    for a non-finite locate ratio and the same lazily built weighted sums.
     """
     c = np.asarray(c)
     sum1 = c.sum(axis=1, dtype=np.float64)
-    sum2 = (c * np.arange(1, c.shape[1] + 1, dtype=np.float64)[None, :]).sum(axis=1)
     res1 = np.asarray(r_check1, dtype=np.float64) - sum1
-    res2 = np.asarray(r_check2, dtype=np.float64) - sum2
     verdict = ChecksumVerdict()
     verdict.max_residual = float(np.max(np.abs(res1))) if res1.size else 0.0
     magnitude = np.abs(c).sum(axis=1, dtype=np.float64)
     thresh = _threshold(magnitude, atol, rtol)
     bad_rows = np.nonzero(np.abs(res1) > thresh)[0]
     verdict.detected = int(bad_rows.size)
+    if bad_rows.size:
+        sum2 = (c * np.arange(1, c.shape[1] + 1, dtype=np.float64)[None, :]).sum(axis=1)
+        res2 = np.asarray(r_check2, dtype=np.float64) - sum2
     for i in bad_rows:
         if abs(res1[i]) < np.finfo(np.float64).tiny:
             verdict.uncorrectable += 1

@@ -1,9 +1,10 @@
-"""Tests for softmax primitives and the online softmax state."""
+"""Tests for softmax primitives and the online softmax state of the flash oracle."""
 
 import numpy as np
 import pytest
 
-from repro.attention.softmax import OnlineSoftmaxState, block_softmax, log_sum_exp, stable_softmax
+from flash_oracle import OnlineSoftmaxState
+from repro.attention.softmax import block_softmax, log_sum_exp, stable_softmax
 
 
 class TestStableSoftmax:

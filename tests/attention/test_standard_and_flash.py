@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from flash_oracle import flash_single
 from repro.attention.flash import flash_attention
 from repro.attention.standard import standard_attention
 from repro.attention.softmax import stable_softmax
@@ -157,8 +158,6 @@ class TestFlashStackedParity:
     @pytest.mark.parametrize("lead,seq,kv,dim,block", SHAPES)
     @pytest.mark.parametrize("mixed_precision", [False, True])
     def test_stacked_bitwise_equals_single(self, rng, lead, seq, kv, dim, block, mixed_precision):
-        from repro.attention.flash import _flash_single
-
         q = rng.standard_normal(lead + (seq, dim)).astype(np.float32)
         k = rng.standard_normal(lead + (kv, dim)).astype(np.float32)
         v = rng.standard_normal(lead + (kv, dim)).astype(np.float32)
@@ -168,7 +167,7 @@ class TestFlashStackedParity:
         k2 = k.reshape((-1, kv, dim))
         v2 = v.reshape((-1, kv, dim))
         for g in range(q2.shape[0]):
-            oracle = _flash_single(q2[g], k2[g], v2[g], scale, block, mixed_precision)
+            oracle = flash_single(q2[g], k2[g], v2[g], scale, block, mixed_precision)
             assert np.array_equal(out.reshape((-1, seq, dim))[g], oracle)
 
     def test_kv_sequence_mismatch_rejected(self, rng):

@@ -103,3 +103,33 @@ class TestDMRSoftmax:
         probs, stats = dmr_row_softmax(scores, injector=injector)
         assert stats["detected"] == 1
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-3)
+
+    def test_stacked_agreement_matches_the_tolerance_test(self, rng):
+        # Trials whose duplicate is bitwise equal skip the tolerance test;
+        # the others must get exactly the verdict it gives.  Trial 1 drifts
+        # within the tolerance (agrees), trial 2 beyond it, trial 3 holds a
+        # NaN and trial 4 a signed zero where the duplicate has +0.0.
+        from repro.attention.softmax import stable_softmax
+        from repro.core.dmr import dmr_row_softmax_stacked
+
+        scores = rng.standard_normal((5, 6, 8)).astype(np.float32)
+        scores[4, 0, 0] = -np.inf  # its probability is exactly +0.0
+
+        class Corrupt:
+            def corrupt(self, site, probs, block=None):
+                probs[1, 2, 3] *= np.float32(1.0 + 1e-5)
+                probs[2, 2, 3] *= np.float32(1.5)
+                probs[3, 0, 0] = np.nan
+                probs[4, 0, 0] = -0.0
+
+        _, stats = dmr_row_softmax_stacked(scores, Corrupt())
+        detected = [s["detected"] for s in stats]
+        assert detected == [0, 0, 1, 1, 0]
+        assert stable_softmax(scores[4])[0, 0] == 0.0
+
+    @pytest.mark.parametrize("tolerance", [-1e-3, float("nan")])
+    def test_tolerance_must_be_non_negative(self, rng, tolerance):
+        from repro.core.dmr import dmr_row_softmax
+
+        with pytest.raises(ValueError, match="tolerance"):
+            dmr_row_softmax(rng.standard_normal((4, 4)), tolerance=tolerance)

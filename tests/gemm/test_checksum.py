@@ -112,6 +112,37 @@ class TestTraditionalChecksums:
         assert verdict.clean
 
 
+class _Unread:
+    """A checksum operand that fails the test if a verifier converts it."""
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("the weighted checksum was read although nothing was flagged")
+
+
+class TestWeightedSumsOnlyLocate:
+    """The weighted checksum only locates: a clean product never reads it."""
+
+    def test_clean_columns_leave_the_weighted_checksum_unread(self, operands):
+        a, b = operands
+        c = (a @ b).astype(np.float32)
+        c1, _ = encode_column_checksums(a)
+        assert verify_column_checksums(c, c1 @ b, _Unread(), atol=1e-3, rtol=1e-3).clean
+
+    def test_clean_rows_leave_the_weighted_checksum_unread(self, operands):
+        a, b = operands
+        c = (a @ b).astype(np.float32)
+        r1, _ = encode_row_checksums(b)
+        assert verify_row_checksums(c, a @ r1, _Unread(), atol=1e-3, rtol=1e-3).clean
+
+    def test_a_flagged_column_still_reads_it(self, operands):
+        a, b = operands
+        c = (a @ b).astype(np.float32)
+        c1, _ = encode_column_checksums(a)
+        c[7, 11] += 3.5
+        with pytest.raises(AssertionError, match="weighted checksum was read"):
+            verify_column_checksums(c, c1 @ b, _Unread(), atol=1e-3, rtol=1e-3)
+
+
 class TestNonFiniteLocateRatio:
     """A weighted checksum that overflowed locates nothing: uncorrectable, no crash.
 
