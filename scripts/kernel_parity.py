@@ -33,6 +33,19 @@ compared bit for bit:
   campaign on a ragged 30 x 37 x 12 block (scheme tensor and element x bit
   error rate 1e-7 and 1e-5, 200 trials each), run on the ``process`` executor
   with two workers so that late-index batches derive their seeds in a worker.
+* ``fp16-fold`` -- ``fp16_quantize`` and the strided checksum fold on fixed,
+  seed-drawn float32 bit patterns from every class FP16 rounding tells apart
+  (zeros, float32 and FP16 subnormals, FP16 normals and their ties, values
+  rounding to 65504 or to infinity, infinities, NaN payloads), both signs.
+  Rounding runs below and above the size where it switches from NumPy's
+  cast to integer rounding, on contiguous, transposed, sliced and reversed
+  layouts, and hashes the result's bits and strides.  The fold runs through
+  ``strided_sums`` (``S`` and ``|S|``), ``strided_checksum_flags`` and
+  ``verify_strided_checksums_stacked`` on ragged shapes, one as wide as
+  perfbench's LM head; its float64 sums are hashed with NaNs made one
+  pattern, because which NaN payload an add of two NaNs returns depends on
+  NumPy's loop, not on the order of the sum.  The count is the number of
+  arrays hashed.
 
 The script imports only public entry points of ``repro``, so it runs against
 older trees too.  To compare a change with its base, run this file once per
@@ -222,6 +235,77 @@ def two_site_digest() -> tuple[int, str]:
     return calls, digest.hexdigest()
 
 
+#: Float32 bit-pattern ranges ``[low, high)`` of the classes FP16 rounding
+#: tells apart; each is drawn from with both signs.
+FP16_CLASSES = (
+    (0x00000000, 0x00000001),  # zero
+    (0x00000001, 0x00800000),  # float32 subnormals
+    (0x00800000, 0x33000000),  # below half the smallest FP16 subnormal
+    (0x33000000, 0x38800000),  # FP16 subnormals
+    (0x38800000, 0x477FE000),  # FP16 normals
+    (0x477FE000, 0x477FF000),  # [65504, 65520): rounds to 65504
+    (0x477FF000, 0x7F800000),  # rounds to infinity
+    (0x7F800000, 0x7F800001),  # infinity
+    (0x7F800001, 0x80000000),  # NaN, quiet and signalling
+)
+
+
+def _fp16_patterns(rng: np.random.Generator, per_class: int = 256) -> np.ndarray:
+    """``per_class`` random patterns of every class plus FP16 rounding ties, random signs."""
+    bits = [rng.integers(low, high, size=per_class, dtype=np.uint64) for low, high in FP16_CLASSES]
+    # Ties: FP16 normals whose 13 dropped bits are exactly half a unit.
+    bits.append((rng.integers(0x38800000 >> 13, 0x477FF000 >> 13, size=per_class) << 13) | 0x1000)
+    bits = np.concatenate(bits).astype(np.uint32)
+    return bits | (rng.integers(0, 2, size=bits.size, dtype=np.uint32) << np.uint32(31))
+
+
+def fp16_fold_digest() -> tuple[int, str]:
+    """Digest of FP16 rounding and the strided checksum fold on special bit patterns."""
+    from repro.fp.float16 import fp16_quantize
+    from repro.gemm.checksum import (
+        strided_checksum_flags,
+        strided_sums,
+        verify_strided_checksums_stacked,
+    )
+
+    digest = hashlib.sha256()
+    count = 0
+
+    def update(*arrays) -> None:
+        nonlocal count
+        for array in arrays:
+            array = np.asarray(array)
+            if array.dtype == np.float64:  # a fold: one NaN pattern
+                array = np.where(np.isnan(array), np.nan, array)
+            digest.update(str((array.shape, array.strides)).encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+            count += 1
+
+    rng = np.random.default_rng(20)
+    pool = _fp16_patterns(rng)
+    for size in (777, 4095, 4096, 65_536):
+        x = rng.choice(pool, size=size).view(np.float32)
+        update(fp16_quantize(x))
+    stack = rng.choice(pool, size=(16, 64, 64)).view(np.float32)
+    for view in (stack, np.swapaxes(stack, -1, -2), stack[:, ::2, 1:], stack[::-1, :, ::-3]):
+        update(fp16_quantize(view))
+
+    for shape, stride in (((16, 64, 997), 8), ((3, 7, 13), 5), ((2, 5, 9), 1), ((1, 1, 9), 8)):
+        clean = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+        clean = clean.astype(np.float32)
+        s = clean.copy()
+        hit = rng.random(shape) < 0.01
+        s[hit] = rng.choice(pool, size=int(hit.sum())).view(np.float32)
+        update(*strided_sums(s, stride), strided_sums(np.abs(s), stride)[0])
+        flags, res1 = strided_checksum_flags(s, np.zeros(shape[:-1] + (stride,)), stride, 1.0, 0.5)
+        update(flags, res1)
+        check1, check2 = strided_sums(clean, stride)
+        verdicts = verify_strided_checksums_stacked(s, check1, check2, stride, 1e-2, 1e-3)
+        update(s)
+        digest.update(json.dumps([dataclasses.asdict(v) for v in verdicts], default=str).encode())
+    return count, digest.hexdigest()
+
+
 def campaign_digest(spec: dict, executor: str = "serial", n_workers: int = 1) -> tuple[int, str]:
     """Digest of a campaign spec's canonical results in the jsonl store."""
     from repro.exec import run_experiment
@@ -258,6 +342,7 @@ def main() -> int:
             "campaign-abft-coverage",
             functools.partial(campaign_digest, COVERAGE_SPEC, "process", 2),
         ),
+        ("fp16-fold", fp16_fold_digest),
     )
     for name, check in checks:
         count, hexdigest = check()

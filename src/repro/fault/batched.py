@@ -36,6 +36,10 @@ costliest elementwise op of the forward, therefore runs only on the
 elements whose input bits differ from the fault-free run's and copies the
 fault-free output everywhere else (:func:`_golden_activations`); GELU is
 elementwise, so the values are the ones evaluating every element gives.
+Each linear operand is rounded to FP16 once: the layer-norm output ``h``
+once for the q, k and v projections, and each layer's weight and checksum
+columns once per model, kept in the transformer fixture
+(:func:`_linear_batched`).
 
 The model-level step still exists twice: ``TransformerModel.forward`` and
 :func:`_forward_batched` (``perfbench`` traces both by module path, so
@@ -87,7 +91,12 @@ def _token_batch(ids: np.ndarray, n_trials: int) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # Stacked layers
 # --------------------------------------------------------------------------- #
-def _linear_batched(layer, x: np.ndarray, router: _BatchFaultRouter, protected: bool):
+def _rounded_input(x) -> FP16Operand:
+    """A linear layer's input cast to float32 and rounded to FP16, once."""
+    return x if isinstance(x, FP16Operand) else FP16Operand(np.asarray(x, dtype=np.float32))
+
+
+def _linear_batched(layer, x, router: _BatchFaultRouter, protected: bool, weights: dict):
     """Mirror of ``ProtectedLinear.__call__`` with the stacked fault router.
 
     The trial axis is kept (``(n_trials, seq, dim)``) and the projection runs
@@ -96,21 +105,31 @@ def _linear_batched(layer, x: np.ndarray, router: _BatchFaultRouter, protected: 
     product the scalar forward computes -- bit-identical.  When ``protected``,
     the checksum GEMMs run stacked too and the strided verification runs once
     over the stack, repairing flagged trials exactly like the scalar routine
-    (verification happens before the bias add, as in the scalar layer).  As there, the float32 input is rounded to FP16 once
-    for all three GEMMs and the weight on every call.  Returns ``(y,
-    verdicts)`` with one verdict per trial, or ``verdicts=None`` when
-    unprotected.
+    (verification happens before the bias add, as in the scalar layer).  As
+    there, the float32 input is rounded to FP16 once for all three GEMMs; an
+    input that is already an :class:`FP16Operand` (``h``, shared by the q, k
+    and v projections) is used as is.  The weight and its two checksum
+    columns are rounded once per model: ``weights`` (the fixture's
+    ``fp16_weights``) maps each layer to its three operands, filled here on
+    the layer's first call.  Returns ``(y, verdicts)`` with one verdict per
+    trial, or ``verdicts=None`` when unprotected.
     """
     from repro.fault.models import FaultSite
     from repro.gemm.checksum import verify_strided_checksums_stacked
 
-    x = FP16Operand(np.asarray(x, dtype=np.float32))
-    y = fp16_matmul(x, layer.weight)
+    x = _rounded_input(x)
+    operands = weights.get(layer)
+    if operands is None:
+        operands = weights[layer] = tuple(
+            FP16Operand(w) for w in (layer.weight, layer._w_check1, layer._w_check2)
+        )
+    w, w_check1, w_check2 = operands
+    y = fp16_matmul(x, w)
     router.corrupt(FaultSite.LINEAR, y)
     verdicts = None
     if protected:
-        y_check1 = fp16_matmul(x, layer._w_check1)
-        y_check2 = fp16_matmul(x, layer._w_check2)
+        y_check1 = fp16_matmul(x, w_check1)
+        y_check2 = fp16_matmul(x, w_check2)
         verdicts = verify_strided_checksums_stacked(
             y,
             y_check1,
@@ -120,7 +139,7 @@ def _linear_batched(layer, x: np.ndarray, router: _BatchFaultRouter, protected: 
             rtol=layer.checksum_rtol,
         )
     if layer.bias is not None:
-        y = y + layer.bias
+        y += layer.bias
     return y, verdicts
 
 
@@ -135,7 +154,7 @@ def _record_verdicts(verdicts, reports, stage: str) -> None:
 
 
 def _forward_batched_unprotected(
-    model, token_ids: np.ndarray, router: _BatchFaultRouter, activations: list
+    model, token_ids: np.ndarray, router: _BatchFaultRouter, activations: list, weights: dict
 ) -> np.ndarray:
     """One stacked forward of the scheme-``"none"`` model, returning logits.
 
@@ -145,16 +164,17 @@ def _forward_batched_unprotected(
     ``corrupt`` offers -- which is sound because occurrence counting is per
     site, so offers at attention sites cannot influence linear-site faults.
     ``activations`` holds one FFN activation per block (see
-    :func:`_golden_activations`).
+    :func:`_golden_activations`) and ``weights`` the model's rounded linear
+    weights (see :func:`_linear_batched`).
     """
     x = model.embedding(token_ids)
     for block, activate in zip(model.blocks, activations):
         mha = block.attention
         cfg = mha.attention.config
-        h = block.ln_attn(x)
-        q, _ = _linear_batched(mha.q_proj, h, router, False)
-        k, _ = _linear_batched(mha.k_proj, h, router, False)
-        v, _ = _linear_batched(mha.v_proj, h, router, False)
+        h = _rounded_input(block.ln_attn(x))
+        q, _ = _linear_batched(mha.q_proj, h, router, False, weights)
+        k, _ = _linear_batched(mha.k_proj, h, router, False, weights)
+        v, _ = _linear_batched(mha.v_proj, h, router, False, weights)
         heads = flash_attention(
             split_heads(q, mha.num_heads),
             split_heads(k, mha.num_heads),
@@ -163,14 +183,14 @@ def _forward_batched_unprotected(
             block_size=cfg.block_size,
             mixed_precision=True,
         )
-        out, _ = _linear_batched(mha.out_proj, merge_heads(heads), router, False)
+        out, _ = _linear_batched(mha.out_proj, merge_heads(heads), router, False, weights)
         x = x + out
         f = block.ln_ffn(x)
-        hidden, _ = _linear_batched(block.ffn.fc_in, f, router, False)
-        ffn_out, _ = _linear_batched(block.ffn.fc_out, activate(hidden), router, False)
+        hidden, _ = _linear_batched(block.ffn.fc_in, f, router, False, weights)
+        ffn_out, _ = _linear_batched(block.ffn.fc_out, activate(hidden), router, False, weights)
         x = x + ffn_out
     x = model.final_norm(x)
-    logits, _ = _linear_batched(model.lm_head, x, router, False)
+    logits, _ = _linear_batched(model.lm_head, x, router, False, weights)
     return logits
 
 
@@ -180,6 +200,7 @@ def _forward_batched(
     router: _BatchFaultRouter,
     reports: list[FaultToleranceReport],
     activations: list,
+    weights: dict,
 ) -> np.ndarray:
     """One stacked forward mirroring ``TransformerModel.forward`` for any
     scheme whose attention kernel supports the batched path.
@@ -189,16 +210,17 @@ def _forward_batched(
     ``forward_batched`` attention, the FFN activation (one per block in
     ``activations``, see :func:`_golden_activations`) and its clamp with
     per-trial restriction counts, and an LM head that is verified but --
-    like the scalar forward -- never recorded in the report.
+    like the scalar forward -- never recorded in the report.  ``weights``
+    holds the model's rounded linear weights (see :func:`_linear_batched`).
     """
     protect = model.protects_linear
     x = model.embedding(token_ids)
     for block, activate in zip(model.blocks, activations):
         mha = block.attention
-        h = block.ln_attn(x)
-        q, vq = _linear_batched(mha.q_proj, h, router, protect)
-        k, vk = _linear_batched(mha.k_proj, h, router, protect)
-        v, vv = _linear_batched(mha.v_proj, h, router, protect)
+        h = _rounded_input(block.ln_attn(x))
+        q, vq = _linear_batched(mha.q_proj, h, router, protect, weights)
+        k, vk = _linear_batched(mha.k_proj, h, router, protect, weights)
+        v, vv = _linear_batched(mha.v_proj, h, router, protect, weights)
         for verdicts, stage in ((vq, "q_proj"), (vk, "k_proj"), (vv, "v_proj")):
             _record_verdicts(verdicts, reports, stage)
         heads, attn_reports = mha.attention.forward_batched(
@@ -209,11 +231,11 @@ def _forward_batched(
         )
         for report, attn_report in zip(reports, attn_reports):
             report.merge(attn_report)
-        out, vo = _linear_batched(mha.out_proj, merge_heads(heads), router, protect)
+        out, vo = _linear_batched(mha.out_proj, merge_heads(heads), router, protect, weights)
         _record_verdicts(vo, reports, "out_proj")
         x = x + out
         f = block.ln_ffn(x)
-        hidden, vi = _linear_batched(block.ffn.fc_in, f, router, protect)
+        hidden, vi = _linear_batched(block.ffn.fc_in, f, router, protect, weights)
         _record_verdicts(vi, reports, "ffn_in")
         activated = activate(hidden)
         if protect:
@@ -228,11 +250,11 @@ def _forward_batched(
                         report.record_detection("ffn_activation", restricted)
                         report.record_restoration("ffn_activation", restricted)
             activated = clipped
-        ffn_out, vout = _linear_batched(block.ffn.fc_out, activated, router, protect)
+        ffn_out, vout = _linear_batched(block.ffn.fc_out, activated, router, protect, weights)
         _record_verdicts(vout, reports, "ffn_out")
         x = x + ffn_out
     x = model.final_norm(x)
-    logits, _ = _linear_batched(model.lm_head, x, router, protect)
+    logits, _ = _linear_batched(model.lm_head, x, router, protect, weights)
     return logits
 
 
@@ -265,7 +287,7 @@ def _reusing(activation, golden_in: np.ndarray, golden_out: np.ndarray):
     return activate
 
 
-def _golden_trace(model, ids: np.ndarray, use_flash: bool) -> list:
+def _golden_trace(model, ids: np.ndarray, use_flash: bool, weights: dict) -> list:
     """Each block's fault-free activation ``(input, output)`` on one forward path.
 
     Recorded by one clean pass of the path's batched forward at a trial
@@ -284,9 +306,9 @@ def _golden_trace(model, ids: np.ndarray, use_flash: bool) -> list:
     activations = [recording(block.ffn.activation) for block in model.blocks]
     router = _BatchFaultRouter([None])
     if use_flash:
-        _forward_batched_unprotected(model, ids, router, activations)
+        _forward_batched_unprotected(model, ids, router, activations, weights)
     else:
-        _forward_batched(model, ids, router, [FaultToleranceReport()], activations)
+        _forward_batched(model, ids, router, [FaultToleranceReport()], activations, weights)
     return trace
 
 
@@ -306,7 +328,7 @@ def _golden_activations(fixture, use_flash: bool) -> list:
         return activations
     trace = fixture.gelu_traces.get(use_flash)
     if trace is None:
-        trace = _golden_trace(fixture.model, fixture.ids, use_flash)
+        trace = _golden_trace(fixture.model, fixture.ids, use_flash, fixture.fp16_weights)
         fixture.gelu_traces[use_flash] = trace
     return [_reusing(activation, *golden) for activation, golden in zip(activations, trace)]
 
@@ -326,7 +348,7 @@ def _transformer_inference_batch(rngs: list, params: dict) -> list[dict] | None:
     from repro.fault.models import FaultSite, FaultSpec
 
     fixture = _transformer_fixture(params)
-    model, ids, clean_logits, site_counts, _ = fixture
+    model, ids, clean_logits, site_counts = fixture[:4]
     fault_model = str(params.get("fault_model", "seu"))
     model_params = dict(params.get("model_params", {}))
     replay_trials = None
@@ -406,17 +428,19 @@ def _transformer_inference_batch(rngs: list, params: dict) -> list[dict] | None:
     token_batch = _token_batch(ids, n_trials)
     router = _BatchFaultRouter(injectors)
     activations = _golden_activations(fixture, use_flash)
+    weights = fixture.fp16_weights
     if use_flash:
         reports = None
-        logits = _forward_batched_unprotected(model, token_batch, router, activations)
+        logits = _forward_batched_unprotected(model, token_batch, router, activations, weights)
     else:
         reports = [FaultToleranceReport() for _ in range(n_trials)]
-        logits = _forward_batched(model, token_batch, router, reports, activations)
+        logits = _forward_batched(model, token_batch, router, reports, activations, weights)
 
     denom = max(float(np.abs(clean_logits).max()), 1e-12)
-    # One stacked |faulty - clean| pass; the per-trial max over its own slice
-    # is the same value the scalar kernel's whole-array max produces.
-    deviations = np.abs(logits - clean_logits).reshape(n_trials, -1).max(axis=1)
+    # One stacked |faulty - clean| pass, in place; the per-trial max over its
+    # own slice is the same value the scalar kernel's whole-array max produces.
+    np.subtract(logits, clean_logits, out=logits)
+    deviations = np.abs(logits, out=logits).reshape(n_trials, -1).max(axis=1)
     records = []
     for t, injector in enumerate(injectors):
         applied = len(injector.records)

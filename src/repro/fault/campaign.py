@@ -597,6 +597,13 @@ class _TransformerFixture(NamedTuple):
     #: :mod:`repro.fault.batched` fills it on first use.  It lives here so
     #: that it is evicted, and rebuilt, with its model.
     gelu_traces: dict
+    #: Each linear layer's weight and two checksum columns rounded to FP16
+    #: (:class:`~repro.fp.float16.FP16Operand`), keyed by layer; filled by
+    #: :mod:`repro.fault.batched` on first use and evicted with the model.
+    #: The batch kernel declines at-rest faults before it touches the model,
+    #: and at-rest trials restore every flipped weight bit exactly, so the
+    #: rounded weights stay those of the model's weights.
+    fp16_weights: dict
 
 
 #: Per-worker LRU cache of :class:`_TransformerFixture` keyed by the workload
@@ -673,7 +680,7 @@ def _transformer_fixture(params: dict) -> _TransformerFixture:
         # `limit` distinct workloads per worker rebuild the model and the
         # clean-logit oracle on nearly every trial.
         _TRANSFORMER_FIXTURES.pop(next(iter(_TRANSFORMER_FIXTURES)))
-    fixture = _TransformerFixture(model, ids, clean_logits, dict(probe.counts), {})
+    fixture = _TransformerFixture(model, ids, clean_logits, dict(probe.counts), {}, {})
     _TRANSFORMER_FIXTURES[key] = fixture
     return fixture
 
@@ -787,7 +794,7 @@ def _transformer_inference_trial(rng: np.random.Generator, params: dict) -> dict
     from repro.fault.injector import FaultInjector
     from repro.fault.models import FaultSite, FaultSpec
 
-    model, ids, clean_logits, site_counts, _ = _transformer_fixture(params)
+    model, ids, clean_logits, site_counts = _transformer_fixture(params)[:4]
     tol = float(params.get("correction_tol", 0.02))
     replay = _resolve_faultload_trial(params)
     if replay is not None:

@@ -164,6 +164,11 @@ class FaultInjector:
         return applied_now
 
 
+def _armed_at(pending: _PendingFault, site) -> bool:
+    """Whether ``pending`` can still act on an offer at ``site``."""
+    return pending.spec.site == site and (not pending.applied or pending.model.persistent)
+
+
 class _BatchFaultRouter:
     """Routes one stacked ``corrupt`` offer to every trial's own injector.
 
@@ -171,18 +176,34 @@ class _BatchFaultRouter:
     ``array[t]`` -- exactly the array a run of that trial alone offers -- so
     each injector's element draws, occurrence counting and records do not
     depend on the stack.  A scalar ``forward`` routes a stack of one.
+
+    An offer reaches, in trial order, only the injectors that can act on it.
+    A :class:`FaultInjector` ignores every offer at a site where it holds no
+    armed fault (no occurrence count, no draw), so it gets the offers at the
+    sites of its armed faults and leaves a site's route once none is left
+    there.  Anything that is not exactly a :class:`FaultInjector` (a
+    subclass or a counting stand-in) gets every offer while it is armed.
+    A ``None`` entry is a fault-free trial.
     """
 
     def __init__(self, injectors: list):
-        # Offers only reach injectors that still have un-applied faults (a
-        # ``None`` entry is a fault-free trial): a drained injector's
-        # `corrupt` is a no-op by contract (applied pendings are skipped), so
-        # dropping it from the fan-out changes nothing while removing most of
-        # the per-offer Python cost (one planned fault per trial is the
-        # common case).
         self._active = [
             (t, inj) for t, inj in enumerate(injectors) if inj is not None and inj.armed
         ]
+        #: Offered site -> the (trial, injector) pairs it reaches, built on
+        #: the site's first offer.
+        self._routes: dict = {}
+
+    def _route(self, site) -> list:
+        route = self._routes.get(site)
+        if route is None:
+            route = self._routes[site] = [
+                (t, inj)
+                for t, inj in self._active
+                if type(inj) is not FaultInjector
+                or any(_armed_at(p, site) for p in inj._pending)
+            ]
+        return route
 
     def quiet_prefix(self, sites: tuple, blocks: list) -> int:
         """How many leading ``blocks`` no offer at ``sites`` can reach a fault at.
@@ -199,29 +220,34 @@ class _BatchFaultRouter:
         any offer, so it makes the prefix empty.
         """
         quiet = len(blocks)
-        for _, injector in self._active:
-            if type(injector) is not FaultInjector:
-                return 0
-            for pending in injector._pending:
-                if pending.applied and not pending.model.persistent:
+        for site in sites:
+            for _, injector in self._route(site):
+                if type(injector) is not FaultInjector:
+                    if injector.armed:
+                        return 0
                     continue
-                if pending.spec.site not in sites:
-                    continue
-                if pending.spec.block is None:
-                    return 0
-                pinned = tuple(pending.spec.block)
-                quiet = next((n for n, b in enumerate(blocks[:quiet]) if b == pinned), quiet)
+                for pending in injector._pending:
+                    if not _armed_at(pending, site):
+                        continue
+                    if pending.spec.block is None:
+                        return 0
+                    pinned = tuple(pending.spec.block)
+                    quiet = next((n for n, b in enumerate(blocks[:quiet]) if b == pinned), quiet)
         return quiet
 
     def corrupt(self, site, array: np.ndarray, block=None) -> None:
         if not self._active:
             return
-        still_armed = []
-        for t, injector in self._active:
-            injector.corrupt(site, array[t], block)
-            if injector.armed:
-                still_armed.append((t, injector))
-        self._active = still_armed
+        kept = []
+        for t, injector in self._route(site):
+            if type(injector) is FaultInjector:
+                injector.corrupt(site, array[t], block)
+                if any(_armed_at(p, site) for p in injector._pending):
+                    kept.append((t, injector))
+            elif injector.armed:
+                injector.corrupt(site, array[t], block)
+                kept.append((t, injector))
+        self._routes[site] = kept
 
 
 def inject_bit_errors(

@@ -22,6 +22,7 @@ CUDA kernels).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,7 +270,7 @@ def strided_sums(s: np.ndarray, stride: int = 8) -> tuple[np.ndarray, np.ndarray
     s = np.asarray(s)
     # Leading dims beyond the row axis (e.g. a stacked trial axis) broadcast
     # through unchanged: the accumulation per slice is the 2D accumulation.
-    return _strided_fold(s, stride), _strided_weighted_fold(s, stride)
+    return _strided_folds(s, stride)[0], _strided_weighted_fold(s, stride)
 
 
 def _strided_weighted_fold(s: np.ndarray, stride: int) -> np.ndarray:
@@ -281,17 +282,60 @@ def _strided_weighted_fold(s: np.ndarray, stride: int) -> np.ndarray:
     return sum2
 
 
-def _strided_fold(s: np.ndarray, stride: int) -> np.ndarray:
-    """``sum1`` of :func:`strided_sums` alone, accumulated in float64.
+#: Float64 elements the strided folds widen at a time (512 KB of scratch).
+#: Widening a whole stacked output at once costs memory in proportion to it.
+_FOLD_CHUNK = 1 << 16
 
-    Each chunk is widened to float64 inside the add, so no float64 copy of
-    ``S`` is made.
+
+def _strided_folds(s: np.ndarray, stride: int) -> list[np.ndarray]:
+    """The float64 strided folds of ``S`` and of ``|S|``.
+
+    ``fold[..., j]`` starts at 0.0 and adds ``S[..., j + l*stride]`` for
+    ``l = 0, 1, 2, ...`` in that order, one float64 add each -- the order
+    the group-by-group definition reads, never a pairwise tree.  Rows of
+    ``S`` are widened a chunk at a time into a C-contiguous, group-major
+    buffer (``buf[1 + l, row, j]``), so one reduction over its outermost
+    axis adds whole group slabs elementwise, in order.  Row 0 carries the
+    partial sums: a row wider than a chunk folds a block of groups at a
+    time.  A ragged last group is padded with +0.0, which leaves a partial
+    sum as it is (one started from +0.0 is never -0.0).  The class axis is
+    at least two wide: with a single contiguous column NumPy would reduce
+    along it pairwise.  ``|S|`` reuses the widened buffer.
+
+    Leading axes of ``S`` are merged into rows; they are a view for every
+    array the kernels pass (a layout that cannot merge is copied first).
     """
-    sum1 = np.zeros(s.shape[:-1] + (stride,), dtype=np.float64)
-    for start in range(0, s.shape[-1], stride):
-        chunk = s[..., start : start + stride]
-        sum1[..., : chunk.shape[-1]] += chunk
-    return sum1
+    s = np.asarray(s)
+    lead, cols = s.shape[:-1], s.shape[-1]
+    n_rows = math.prod(lead)
+    groups = _num_groups(cols, stride)
+    width = max(stride, 2)
+    folds = [np.zeros((n_rows, width)), np.zeros((n_rows, width))]
+    if n_rows and groups:
+        rows = s.reshape(n_rows, cols)
+        group_step = max(1, min(groups, _FOLD_CHUNK // width - 1))
+        row_step = max(1, min(n_rows, _FOLD_CHUNK // ((1 + group_step) * width)))
+        scratch = np.empty((1 + group_step) * row_step * width)
+        for r0 in range(0, n_rows, row_step):
+            part = rows[r0 : r0 + row_step]
+            n = part.shape[0]
+            for g0 in range(0, groups, group_step):
+                block = part[:, g0 * stride : (g0 + group_step) * stride]
+                full, rem = divmod(block.shape[1], stride)
+                buf = scratch[: (1 + full + bool(rem)) * n * width].reshape(-1, n, width)
+                buf[1 : 1 + full, :, :stride] = (
+                    block[:, : full * stride].reshape(n, full, stride).transpose(1, 0, 2)
+                )
+                if rem:
+                    buf[-1, :, :rem] = block[:, full * stride :]
+                    buf[-1, :, rem:] = 0.0
+                buf[1:, :, stride:] = 0.0
+                for k, fold in enumerate(folds):
+                    if k:
+                        np.abs(buf[1:], out=buf[1:])
+                    buf[0] = fold[r0 : r0 + n]
+                    np.add.reduce(buf, axis=0, out=fold[r0 : r0 + n])
+    return [fold[:, :stride].reshape(lead + (stride,)) for fold in folds]
 
 
 def verify_strided_checksums(
@@ -346,11 +390,10 @@ def verify_strided_checksums(
                 verdict.detected += 1
                 verdict.uncorrectable += 1
 
-    sum1, sum2 = strided_sums(s, stride)
+    sum1, folded_abs = _strided_folds(s, stride)
     res1 = np.asarray(s_check1, dtype=np.float64) - sum1
-    res2 = np.asarray(s_check2, dtype=np.float64) - sum2
+    res2 = np.asarray(s_check2, dtype=np.float64) - _strided_weighted_fold(s, stride)
     verdict.max_residual = float(np.max(np.abs(res1))) if res1.size else 0.0
-    folded_abs = _strided_fold(np.abs(s), stride)
     if magnitude is None:
         magnitude = folded_abs
     else:
@@ -397,8 +440,8 @@ def _strided_detect(
     """
     n_trials = s.shape[0]
     finite = np.isfinite(s).reshape(n_trials, -1).all(axis=1)
-    res1 = np.asarray(s_check1, dtype=np.float64) - _strided_fold(s, stride)
-    mag = _strided_fold(np.abs(s), stride)
+    fold, mag = _strided_folds(s, stride)
+    res1 = np.asarray(s_check1, dtype=np.float64) - fold
     if magnitude is not None:
         mag = np.maximum(np.asarray(magnitude, dtype=np.float64), mag)
     return finite, np.abs(res1) > _threshold(mag, atol, rtol), res1

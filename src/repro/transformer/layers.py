@@ -21,10 +21,17 @@ from repro.gemm.checksum import ChecksumVerdict, encode_strided_row_checksums, v
 def gelu(x: np.ndarray) -> np.ndarray:
     """Gaussian error linear unit (tanh approximation, as used by GPT-2/BERT).
 
-    The evaluation is pinned bit-for-bit (it computes the tanh chain in
-    float64 and is part of the campaign byte-parity surface).
+    The evaluation is pinned bit-for-bit for every output that is not a NaN
+    (it computes the tanh chain in float64 and is part of the campaign
+    byte-parity surface), whatever the input's layout: it always runs on a
+    C-contiguous float32 array, because NumPy's float32 ``x**3`` takes
+    another loop on a reversed view and rounds some elements differently
+    there.  NaN payloads are not pinned: the last multiply has two NaN
+    operands, and NumPy's loops pick either one.
     """
     x = np.asarray(x, dtype=np.float32)
+    if not x.flags.c_contiguous:
+        x = np.ascontiguousarray(x)
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
 
 

@@ -287,6 +287,108 @@ class TestFaultModelParity:
         assert batched == scalar
 
 
+class TestRoundOnce:
+    """Each linear operand of the batched forward is rounded to FP16 once."""
+
+    PARAMS = {"scheme": "efta_unified", "hidden_dim": 16, "seq_len": 8}
+
+    @pytest.fixture(autouse=True)
+    def _fresh_fixtures(self, monkeypatch):
+        from repro.fault import campaign as campaign_module
+
+        monkeypatch.setattr(campaign_module, "_TRANSFORMER_FIXTURES", {})
+
+    @staticmethod
+    def _linear_layers(model) -> list:
+        layers = [model.lm_head]
+        for block in model.blocks:
+            mha = block.attention
+            layers += [mha.q_proj, mha.k_proj, mha.v_proj, mha.out_proj]
+            layers += [block.ffn.fc_in, block.ffn.fc_out]
+        return layers
+
+    @staticmethod
+    def _run(params, n_trials=3):
+        from repro.fault.batched import _transformer_inference_batch
+
+        rngs = [np.random.default_rng(i) for i in range(n_trials)]
+        return _transformer_inference_batch(rngs, dict(params))
+
+    def test_weights_are_rounded_once_per_model_and_kept_in_the_fixture(self, monkeypatch):
+        from repro.fault.campaign import _transformer_fixture
+        from repro.fp import float16
+
+        fixture = _transformer_fixture(self.PARAMS)
+        layers = self._linear_layers(fixture.model)
+        rounded = []
+        real = float16.fp16_quantize
+        monkeypatch.setattr(
+            float16, "fp16_quantize", lambda x: rounded.append(x) or real(x)
+        )
+        self._run(self.PARAMS)
+        self._run(self.PARAMS)
+        for layer in layers:
+            sources = (layer.weight, layer._w_check1, layer._w_check2)
+            assert [sum(x is w for x in rounded) for w in sources] == [1, 1, 1]
+            operands = fixture.fp16_weights[layer]
+            for source, operand in zip(sources, operands):
+                assert np.array_equal(
+                    operand.values.view(np.uint32), real(source).view(np.uint32)
+                )
+        assert set(fixture.fp16_weights) == set(layers)
+
+    def test_q_k_and_v_share_one_rounded_input(self, monkeypatch):
+        from repro.fault import batched
+        from repro.fault.campaign import _transformer_fixture
+        from repro.fp.float16 import FP16Operand
+
+        inputs = {}
+        real = batched._linear_batched
+
+        def recording(layer, x, *args):
+            inputs.setdefault(id(layer), []).append(x)
+            return real(layer, x, *args)
+
+        monkeypatch.setattr(batched, "_linear_batched", recording)
+        fixture = _transformer_fixture(self.PARAMS)
+        self._run(self.PARAMS)
+        for block in fixture.model.blocks:
+            mha = block.attention
+            q_in, k_in, v_in = (inputs[id(p)][-1] for p in (mha.q_proj, mha.k_proj, mha.v_proj))
+            assert isinstance(q_in, FP16Operand)
+            assert q_in is k_in is v_in
+
+    def test_rounded_weights_survive_at_rest_trials(self, tmp_path, monkeypatch):
+        # At-rest trials flip the shared model's weights and restore them
+        # bit for bit; the batched trials after them must still match the
+        # scalar kernel.
+        from repro.fault.campaign import _transformer_fixture
+
+        def run(name, batch, params):
+            (tmp_path / name).mkdir()
+            return _run_bytes(monkeypatch, tmp_path / name, "transformer_inference", batch, 6, params)
+
+        scalar = run("scalar", 1, self.PARAMS)
+        self._run(self.PARAMS)  # fills the fixture's rounded weights
+        run("at_rest", 4, {**self.PARAMS, "fault_model": "weights_at_rest"})
+        assert _transformer_fixture(self.PARAMS).fp16_weights
+        assert run("batched", 4, self.PARAMS) == scalar
+
+    def test_an_evicted_fixture_rounds_its_new_model(self, monkeypatch):
+        from repro.fault import campaign as campaign_module
+        from repro.fault.campaign import _transformer_fixture
+
+        monkeypatch.setattr(campaign_module, "_TRANSFORMER_FIXTURE_LIMIT", 1)
+        self._run(self.PARAMS)
+        first = _transformer_fixture(self.PARAMS)
+        self._run({**self.PARAMS, "model_seed": 1})  # evicts the first fixture
+        self._run(self.PARAMS)
+        rebuilt = _transformer_fixture(self.PARAMS)
+        assert rebuilt is not first
+        assert set(rebuilt.fp16_weights) == set(self._linear_layers(rebuilt.model))
+        assert not set(rebuilt.fp16_weights) & set(first.fp16_weights)
+
+
 class TestBatchedKernelContracts:
     def test_scheme_without_batched_forward_declines_before_consuming_rngs(self):
         # A scheme whose attention kernel has no stacked forward must decline

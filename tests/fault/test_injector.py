@@ -1,9 +1,9 @@
-"""Tests for the fault injector and BER corruption."""
+"""Tests for the fault injector, the stacked fault router and BER corruption."""
 
 import numpy as np
 import pytest
 
-from repro.fault.injector import FaultInjector, inject_bit_errors
+from repro.fault.injector import FaultInjector, _BatchFaultRouter, inject_bit_errors
 from repro.fault.models import FaultSite, FaultSpec, InjectionRecord
 
 
@@ -170,3 +170,127 @@ class TestInjectBitErrors:
         low = len(inject_bit_errors(arr.copy(), 1e-4, rng))
         high = len(inject_bit_errors(arr.copy(), 1e-2, rng))
         assert high > low
+
+
+# --------------------------------------------------------------------------- #
+# The stacked fault router
+# --------------------------------------------------------------------------- #
+LINEAR, QK, PV = FaultSite.LINEAR, FaultSite.GEMM_QK, FaultSite.GEMM_PV
+#: (site, block) of each offer, as a kernel would make them.
+OFFERS = [
+    (LINEAR, None), (QK, (0, 0)), (PV, (0, 0)), (QK, (0, 1)), (PV, (0, 1)),
+    (LINEAR, None), (QK, (1, 0)), (PV, (1, 0)), (LINEAR, None), (PV, (1, 1)), (LINEAR, None),
+]
+
+
+def _mixed_site_injectors(seed: int = 0) -> list:
+    """A stack mixing sites, block pins, several faults per trial and persistent models."""
+
+    def spec(site, occurrence=0, model="seu", block=None):
+        params = {"p": 0.5} if model == "intermittent" else {}
+        return FaultSpec(
+            site=site, bit=13, occurrence=occurrence, block=block,
+            fault_model=model, model_params=params,
+        )
+
+    plans = [
+        [spec(LINEAR, occurrence=1)],
+        [spec(QK, occurrence=1), spec(LINEAR, occurrence=2)],
+        None,
+        [spec(PV, model="stuck_at_1")],
+        [spec(QK, block=(1, 0)), spec(PV, occurrence=1, model="intermittent")],
+        [],
+        [spec(LINEAR), spec(LINEAR, occurrence=1)],
+    ]
+    return [
+        None if specs is None else FaultInjector(specs=specs, seed=seed + t)
+        for t, specs in enumerate(plans)
+    ]
+
+
+def _offer_all(router, injectors, offers=OFFERS) -> np.ndarray:
+    stack = np.ones((len(injectors), 3, 5), dtype=np.float32)
+    for site, block in offers:
+        router.corrupt(site, stack, block)
+    return stack
+
+
+class _Probe:
+    """A counting stand-in for an injector, like the transformer fixture's site probe."""
+
+    def __init__(self, log: list, t: int, offers: int = 10**9):
+        self.log, self.t, self.left = log, t, offers
+        self.records: list = []
+
+    @property
+    def armed(self) -> bool:
+        return self.left > 0
+
+    def corrupt(self, site, array, block=None):
+        self.log.append((self.t, site))
+        self.left -= 1
+
+
+class TestBatchFaultRouter:
+    def test_routing_matches_offering_every_injector(self):
+        routed = _mixed_site_injectors()
+        stack = _offer_all(_BatchFaultRouter(routed), routed)
+        # The reference: every injector sees every offer.
+        everyone = _mixed_site_injectors()
+        reference = np.ones_like(stack)
+        for site, block in OFFERS:
+            for t, injector in enumerate(everyone):
+                if injector is not None:
+                    injector.corrupt(site, reference[t], block)
+        assert np.array_equal(stack.view(np.uint32), reference.view(np.uint32))
+        assert [repr(i and i.records) for i in routed] == [repr(i and i.records) for i in everyone]
+        assert sum(len(i.records) for i in routed if i is not None) >= 6
+
+    def test_an_injector_sees_only_its_armed_sites(self, monkeypatch):
+        seen = []
+        real = FaultInjector.corrupt
+
+        def counting(self, site, array, block=None):
+            seen.append((self.seed, site))
+            return real(self, site, array, block)
+
+        monkeypatch.setattr(FaultInjector, "corrupt", counting)
+        injectors = _mixed_site_injectors(seed=100)
+        _offer_all(_BatchFaultRouter(injectors), injectors)
+        by_trial = {t: [s for seed, s in seen if seed == 100 + t] for t in range(len(injectors))}
+        # One-shot faults leave a site's route once they fired ...
+        assert by_trial[0] == [LINEAR, LINEAR]
+        assert by_trial[1] == [LINEAR, QK, QK, LINEAR, LINEAR]
+        assert by_trial[6] == [LINEAR, LINEAR]
+        # ... a persistent one keeps getting its site's offers ...
+        assert by_trial[3] == [PV] * 4
+        # ... and a fault pinned to a block is offered every tile of its site.
+        assert by_trial[4] == [QK, PV, QK, PV, QK, PV, PV]
+        assert by_trial[2] == by_trial[5] == []  # fault-free trials
+
+    def test_stand_ins_get_every_offer_in_trial_order(self, monkeypatch):
+        log = []
+        real = FaultInjector.corrupt
+
+        def logging(self, site, array, block=None):
+            log.append((self.seed, site))
+            return real(self, site, array, block)
+
+        monkeypatch.setattr(FaultInjector, "corrupt", logging)
+        injectors = _mixed_site_injectors()
+        injectors[2] = _Probe(log, 2)
+        injectors[5] = _Probe(log, 5, offers=3)  # disarms after three offers
+        _offer_all(_BatchFaultRouter(injectors), injectors)
+        assert [s for t, s in log if t == 2] == [site for site, _ in OFFERS]
+        assert [s for t, s in log if t == 5] == [site for site, _ in OFFERS[:3]]
+        # Within one offer, trials are served in order.
+        first_offer = log[: next(n for n, (_, s) in enumerate(log) if s != LINEAR)]
+        assert [t for t, _ in first_offer] == [0, 1, 2, 5, 6]
+
+    def test_a_stand_in_keeps_spans_at_one_tile_while_armed(self):
+        probe = _Probe([], 0, offers=1)
+        router = _BatchFaultRouter([probe])
+        blocks = [(0, 0), (0, 1), (0, 2)]
+        assert router.quiet_prefix((QK, PV), blocks) == 0
+        router.corrupt(QK, np.ones((1, 2), dtype=np.float32), (0, 0))
+        assert router.quiet_prefix((QK, PV), blocks) == len(blocks)

@@ -1,8 +1,11 @@
 """Tests for the FP16 mixed-precision helpers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.fp import float16
 from repro.fp.float16 import (
     FP16_MAX,
     FP16_MIN_NORMAL,
@@ -175,3 +178,112 @@ class TestFP16Operand:
     def test_only_basic_indexing(self, index):
         with pytest.raises(TypeError, match="basic indexing"):
             FP16Operand(np.ones((2, 2), dtype=np.float32))[index]
+
+
+# --------------------------------------------------------------------------- #
+# Integer rounding of large float32 arrays
+# --------------------------------------------------------------------------- #
+def _numpy_cast(x: np.ndarray) -> np.ndarray:
+    """The reference: NumPy's float32 -> float16 -> float32 cast."""
+    with np.errstate(over="ignore"):
+        return np.asarray(x, dtype=np.float16).astype(np.float32)
+
+
+def _quantize(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return fp16_quantize(x)
+
+
+def _assert_same_rounding(x: np.ndarray) -> None:
+    got, want = _quantize(x), _numpy_cast(x)
+    assert got.dtype == np.float32
+    assert got.strides == want.strides
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def _boundary_patterns() -> np.ndarray:
+    """Float32 bit patterns at every edge of the integer rounding, both signs.
+
+    The neighbours of 2**-14 (the smallest FP16 normal), 65504 (the largest
+    finite FP16), 65519 and 65520 (the last value rounding to 65504, and the
+    tie that rounds to infinity) and 65536; ties, near-ties and carries into
+    the exponent at several exponents; float32 and FP16 subnormals; zeros,
+    infinities and NaN payloads, including payload bits FP16 drops.
+    """
+    edges = [2.0**-14, 65504.0, 65519.0, 65520.0, 65536.0, 2.0**-15, 2.0**-24, 2.0**-25]
+    patterns = [
+        int(np.float32(edge).view(np.uint32)) + step for edge in edges for step in range(-3, 4)
+    ]
+    for exponent in (-14, -13, -1, 0, 1, 10, 15):
+        base = int(np.float32(2.0**exponent).view(np.uint32))
+        for mantissa in (0x000000, 0x3FF000, 0x7FE000, 0x7FF000):  # kept bits even / odd / all ones
+            for low in (0x0000, 0x0FFF, 0x1000, 0x1001, 0x1FFF):  # below, at and above the tie
+                patterns.append(base | mantissa | low)
+    patterns += [
+        0x00000000, 0x00000001, 0x00400000, 0x007FFFFF,  # zero, float32 subnormals
+        0x7F800000, 0x7F800001, 0x7F801000, 0x7FA00000, 0x7FC00000, 0x7FC01FFF, 0x7FFFFFFF,
+    ]
+    bits = np.array(patterns, dtype=np.uint32)
+    return np.concatenate([bits, bits | np.uint32(0x80000000)])
+
+
+class TestIntegerRounding:
+    """``fp16_quantize`` is NumPy's cast, bit for bit, on every path."""
+
+    def test_boundary_patterns_on_both_paths(self):
+        patterns = _boundary_patterns().view(np.float32)
+        assert patterns.size < float16._INTEGER_ROUNDING_MIN_SIZE
+        _assert_same_rounding(patterns)  # NumPy's cast
+        large = np.resize(patterns, 4 * float16._INTEGER_ROUNDING_MIN_SIZE)
+        _assert_same_rounding(large)  # integer rounding, specials cast
+
+    def test_one_million_random_bit_patterns(self):
+        rng = np.random.default_rng(0)
+        bits = rng.integers(0, 2**32, size=2**20, dtype=np.uint64).astype(np.uint32)
+        _assert_same_rounding(bits.view(np.float32))
+
+    @pytest.mark.parametrize("size", [4095, 4096])
+    def test_threshold(self, size):
+        bits = np.random.default_rng(size).integers(0x38800000, 0x477FF000, size, dtype=np.uint32)
+        _assert_same_rounding(bits.view(np.float32))
+
+    def test_only_elements_outside_the_normal_range_take_the_cast(self):
+        x = np.random.default_rng(1).standard_normal(8192).astype(np.float32) + 8.0
+        with mock.patch.object(float16, "_numpy_quantize", wraps=float16._numpy_quantize) as cast:
+            fp16_quantize(x)
+            assert cast.call_count == 0
+            x[[3, 5000]] = [np.inf, 1e-9]
+            _assert_same_rounding(x)
+            assert [call.args[0].size for call in cast.call_args_list[:1]] == [2]
+
+    def test_memory_order_of_views_is_kept(self):
+        # The order of a rounded operand picks the BLAS call, so it must be
+        # the one NumPy's cast gives.
+        x = np.random.default_rng(2).standard_normal((4, 64, 96)).astype(np.float32)
+        views = (
+            np.swapaxes(x, -1, -2),
+            x[:, ::2, 1:],
+            x[::-1, :, ::-3],
+            np.asfortranarray(x),
+            x.reshape(-1)[::5],
+        )
+        for view in views:
+            assert view.size >= float16._INTEGER_ROUNDING_MIN_SIZE
+            _assert_same_rounding(view)
+
+    def test_other_dtypes_and_scalars_take_the_cast(self):
+        x = np.random.default_rng(3).standard_normal(5000)
+        assert np.array_equal(_bits(_quantize(x)), _bits(_numpy_cast(x)))  # float64 rounds once
+        assert _quantize(np.float32(1.0 + 2**-12)) == 1.0
+
+    @pytest.mark.slow
+    def test_every_pattern_around_the_normal_range(self):
+        # [2**-14, 65520) in magnitude plus 2**20 patterns on each side, both
+        # signs: about 0.5G patterns, in 4M-pattern slices.
+        low, high = 0x38800000 - 2**20, 0x477FF000 + 2**20
+        step = 2**22
+        for sign in (0, 0x80000000):
+            for start in range(low, high, step):
+                bits = np.arange(start, min(start + step, high), dtype=np.uint32)
+                x = (bits | np.uint32(sign)).view(np.float32)
+                assert np.array_equal(_bits(_quantize(x)), _bits(_numpy_cast(x))), hex(start)
