@@ -18,6 +18,13 @@ compared bit for bit:
   under all five fault models, on shapes with at least four full column
   blocks per row panel and a ragged tail (seq 72 / dim 8 / block 16 and
   seq 100 / dim 16 / block 16), with one and two heads: 540 calls.
+* ``kernels-paper-shape`` -- ``forward`` of every scheme at perfbench's paper
+  shape (seq 512 / dim 64 / block 64, two heads): one clean call per scheme,
+  then, for the fused schemes, one ``seu`` and one ``stuck_at_1`` fault at
+  each of the seven fused sites, pinned in the first, a middle and the last
+  row panel of one of the heads: 130 calls.  The toy shapes above fit every
+  equal-height panel of a head into one panel span; here a span holds two
+  panels, so span boundaries fall mid-head, around the faulty panel too.
 * ``campaign-transformer`` -- one ``run_experiment`` run of the transformer
   fault campaign of perfbench's ``campaign-transformer`` workload (seed 0,
   serial executor, jsonl store), hashed through the store's canonical export.
@@ -102,6 +109,10 @@ HEADS = ((), (2,))
 TILE_SITES = FUSED_SITES[:-1]
 TWO_SITE_SHAPES = ((72, 8, 16), (100, 16, 16))
 REPORT_COUNTERS = ("detections", "corrections", "recomputations", "restorations", "uncorrectable")
+
+#: perfbench's attention shape (seq_len, head_dim, block_size) and head count.
+PAPER_SHAPE = (512, 64, 64)
+PAPER_HEADS = 2
 
 #: The ``campaign-transformer`` workload's spec at perfbench's default seed.
 CAMPAIGN_SPEC = {
@@ -235,6 +246,41 @@ def two_site_digest() -> tuple[int, str]:
     return calls, digest.hexdigest()
 
 
+def paper_shape_digest() -> tuple[int, str]:
+    """Digest of every scheme's ``forward`` at the paper shape, faults pinned across a head."""
+    seq, dim, block = PAPER_SHAPE
+    config = AttentionConfig(seq, dim, block_size=block)
+    rng = np.random.default_rng([seq, PAPER_HEADS])
+    q, k, v = (rng.standard_normal((PAPER_HEADS, seq, dim)).astype(np.float32) for _ in range(3))
+    n = config.n_blocks
+    digest = hashlib.sha256()
+    calls = 0
+    for scheme in SCHEME_SITES:
+        attention = build_scheme(scheme, config)
+        plans = [None]
+        if scheme != "decoupled":
+            plans += itertools.product(FUSED_SITES, ("seu", "stuck_at_1"), (0, n // 2, n - 1))
+        for plan in plans:
+            injector = None
+            if plan is not None:
+                site, model, row = plan
+                draw = np.random.default_rng([FUSED_SITES.index(site), model == "seu", row])
+                spec = FaultSpec(
+                    site=site,
+                    block=(row, -1 if site == "normalize" else int(draw.integers(n))),
+                    bit=int(draw.integers(8, 15)),
+                    dtype="fp16",
+                    occurrence=int(draw.integers(PAPER_HEADS)),
+                    fault_model=model,
+                    model_params=FAULT_MODELS[model],
+                )
+                injector = FaultInjector(specs=[spec], seed=int(draw.integers(2**31)))
+            out, report = attention.forward(q, k, v, injector)
+            _hash_call(digest, out, report)
+            calls += 1
+    return calls, digest.hexdigest()
+
+
 #: Float32 bit-pattern ranges ``[low, high)`` of the classes FP16 rounding
 #: tells apart; each is drawn from with both signs.
 FP16_CLASSES = (
@@ -333,6 +379,7 @@ def main() -> int:
     checks = (
         ("kernels", kernel_digest),
         ("kernels-two-site", two_site_digest),
+        ("kernels-paper-shape", paper_shape_digest),
         ("campaign-transformer", functools.partial(campaign_digest, CAMPAIGN_SPEC)),
         (
             "campaign-transformer-faultmodels",

@@ -17,10 +17,10 @@ derives the unified-verification variant from it.
 
 The fused kernel exists once, over a leading *trial* axis
 (:meth:`EFTAttention.forward_batched`, see :mod:`repro.core.stacked`);
-:meth:`EFTAttention.forward` is that kernel at a trial axis of one.  Within
-a row panel it runs the column blocks' tiles as *spans*: several tiles at
-once where no fault can land, detecting only, and one tile at a time
-wherever a fault can land or a check flags.
+:meth:`EFTAttention.forward` is that kernel at a trial axis of one.  It runs
+a head's row panels, and each panel's column blocks, as *spans*: several
+panels or tiles at once where no fault can land, detecting only, and one at
+a time wherever a fault can land or a check flags.
 
 Known limitation (shared with the paper's design): a reduce-max fault is not
 *corrected* -- its effect cancels between numerator and denominator (SNVR
@@ -37,10 +37,18 @@ from functools import partial
 
 import numpy as np
 
-from repro.attention.tiling import block_runs, partition_blocks
+from repro.attention.tiling import block_runs, num_blocks
 from repro.core.config import AttentionConfig, FaultToleranceReport
 from repro.core.snvr import exp_checksum_propagate, restrict_rowsum_stacked, verify_exp_products
-from repro.core.stacked import forward_one_trial, forward_stacked, run_spans, tile_view
+from repro.core.stacked import (
+    block_view,
+    forward_one_trial,
+    forward_stacked,
+    merge_panels,
+    run_panels,
+    run_spans,
+    split_panels,
+)
 from repro.core.strided_abft import BlockChecksums, KeyChecksums, StridedABFT
 from repro.fault.injector import FaultInjector
 from repro.fault.models import FaultSite
@@ -139,44 +147,44 @@ class EFTAttention:
         router,
         reports: list[FaultToleranceReport],
     ) -> np.ndarray:
-        """Algorithm 1 on ``(trials, seq, head_dim)`` operands, panel by panel.
+        """Algorithm 1 on ``(trials, seq, head_dim)`` operands, span by span.
 
         Stack-invariance rules: the trial axis is never flattened into a
         GEMM's row dimension (a fused 2D GEMM can pick a different kernel
         blocking and drift in the last bits); reductions stay on the last
-        axis; every trial's injector sees the offer sequence of a lone run.
+        axis or on a stacked leading axis, in stack order; every trial's
+        injector sees the offer sequence of a lone run.
 
-        Panel stacking: each row panel ``Q_i`` stacks its equal-width column
-        blocks on a tile axis (``(trials, tiles, ...)``; a ragged tail block
-        is a run of its own).  GEMM I and its two checksum products run once
-        per panel and run (no fault site sits between them); the rest of the
-        tile body runs once per *span* (:func:`repro.core.stacked.run_spans`,
-        :meth:`_span`).  Every stacked op is elementwise, a last-axis
-        reduction, the running max, or a batched GEMM on each tile's own 2-D
+        Spans (:mod:`repro.core.stacked`): the row panels run in panel spans
+        (:func:`~repro.core.stacked.run_panels`, :meth:`_panel_span`) and
+        each panel's equal-width column blocks in tile spans
+        (:func:`~repro.core.stacked.run_spans`, :meth:`_span`); a ragged
+        tail block is a run of its own.  GEMM I and its two checksum
+        products run once per panel span and run, broadcast over
+        ``(trials, panels, tiles, ...)``; the rest of the body runs on the
+        merged ``(trials x panels)`` axis.  Every stacked op is elementwise,
+        a reduction over the last axis or, in stack order, over a stacked
+        one, the running max, or a batched GEMM on each tile's own 2-D
         operands in the layout a lone tile has, so values are bitwise those
-        of a tile-by-tile loop.
+        of a panel-by-panel, tile-by-tile loop.
 
         Round-once rule: every GEMM operand is rounded to FP16 once, where it
         is produced, and reused by each product that reads it (an
         :class:`~repro.fp.float16.FP16Operand`), as the fused kernel's MMAs
-        reuse a loaded tile.  Before the row loop, per run of equal-width
+        reuse a loaded tile.  Before the panel loop, per run of equal-width
         blocks: ``K^T`` and ``V``, the key checksums and ``V``'s three
-        checksums, rounded from ``(trials, tiles, ...)`` views.  Per row
-        panel: ``Q_i``.  Per span: ``P``, after any EXP-stage repair.
-        Rounding keeps each view's memory order, and NumPy runs one BLAS call
-        per trial and tile on the same values in the same order, so the
-        products are bitwise those of rounding inside every call.
+        checksums, rounded from ``(trials, 1, tiles, ...)`` views (a panel
+        axis of one).  Per panel span: its ``Q_i``.  Per tile span: ``P``,
+        after any EXP-stage repair.  Rounding keeps each view's memory order,
+        and NumPy runs one BLAS call per trial, panel and tile on the same
+        values in the same order, so the products are bitwise those of
+        rounding inside every call.
         """
         cfg = self.config
-        scale = np.float32(cfg.effective_scale)
-        trials, seq_len, head_dim = q.shape
-        stride = cfg.checksum_stride
-        out = np.empty((trials, seq_len, head_dim), dtype=np.float32)
-
         runs = []
         for first, n_tiles, cols in block_runs(k.shape[1], cfg.block_size):
-            k_r = tile_view(k, n_tiles, cols)
-            v_r = tile_view(v, n_tiles, cols)
+            k_r = block_view(k, n_tiles, cols)[:, None]
+            v_r = block_view(v, n_tiles, cols)[:, None]
             v_c1, v_c2 = self.abft.encode_value_checksums(v_r)
             v_abs_c1 = self.abft.encode_value_checksums(np.abs(v_r))[0]
             runs.append(_KeyValueRun(
@@ -187,44 +195,86 @@ class EFTAttention:
                 key_chk=self.abft.key_block_checksums(k_r),
                 values=tuple(FP16Operand(x) for x in (v_r, v_c1, v_c2, v_abs_c1)),
             ))
+        out = np.empty(q.shape, dtype=np.float32)
+        panel_span = partial(self._panel_span, q, runs, k.shape[1], out, router, reports)
+        run_panels(router, q.shape[0], q.shape[1], k.shape[1], cfg.block_size, panel_span)
+        return out
 
-        for i, row_blk in enumerate(partition_blocks(seq_len, cfg.block_size)):
-            q_i = FP16Operand(q[:, row_blk])[:, None]
-            rows = q_i.shape[2]
-            panel = _Panel(
-                row_max=np.full((trials, rows), -np.inf, dtype=np.float32),
-                row_sum=np.zeros((trials, rows), dtype=np.float32),
-                acc=np.zeros((trials, rows, head_dim), dtype=np.float32),
-                acc_c1=np.zeros((trials, rows, stride), dtype=np.float32),
-                acc_c2=np.zeros((trials, rows, stride), dtype=np.float32),
-                acc_mag=np.zeros((trials, rows, stride), dtype=np.float32),
-                block_maxes=[],
-            )
-            for run in runs:
-                score_chk = self.abft.score_checksums(q_i, run.key_chk, scale)
-                scores = fp16_matmul(q_i, run.k_t) * scale
-                span = partial(self._span, i, run, scores, score_chk, panel, router, reports)
-                run_spans(router, i, run.first, run.n_tiles, span)
+    def _panel_span(
+        self,
+        q: np.ndarray,
+        runs: list["_KeyValueRun"],
+        n_keys: int,
+        out: np.ndarray,
+        router,
+        reports: list[FaultToleranceReport],
+        p: int,
+        r: int,
+        quiet: bool,
+    ) -> bool:
+        """Row panels ``p..r-1`` of one group: one panel span.
 
-            row_sum, counts = self._restrict_rowsum_stacked(
-                panel.row_sum, panel.block_maxes, panel.row_max, k.shape[1]
+        Per run of key blocks: GEMM I and its checksum products for every
+        panel and tile, then the run's tile spans.  Once per span: the
+        rowsum restriction before normalisation (SNVR case 3), the
+        normalisation with its ``NORMALIZE`` offer, and the output
+        verification.  A quiet span makes no offer and only detects: when a
+        check flags it returns ``False`` before writing ``out`` or
+        ``reports``.
+        """
+        cfg = self.config
+        scale = np.float32(cfg.effective_scale)
+        trials, seq_len, head_dim = q.shape
+        stride = cfg.checksum_stride
+        rows = slice(p * cfg.block_size, min(r * cfg.block_size, seq_len))
+        q_i = FP16Operand(block_view(q, r - p, rows))[:, :, None]
+        lead, height = trials * (r - p), q_i.shape[3]
+        panel = _Panel(
+            n_panels=r - p,
+            row_max=np.full((lead, height), -np.inf, dtype=np.float32),
+            row_sum=np.zeros((lead, height), dtype=np.float32),
+            acc=np.zeros((lead, height, head_dim), dtype=np.float32),
+            acc_c1=np.zeros((lead, height, stride), dtype=np.float32),
+            acc_c2=np.zeros((lead, height, stride), dtype=np.float32),
+            acc_mag=np.zeros((lead, height, stride), dtype=np.float32),
+            block_maxes=np.empty(
+                (num_blocks(n_keys, cfg.block_size), lead, height), dtype=np.float32
+            ),
+        )
+        for run in runs:
+            chk = self.abft.score_checksums(q_i, run.key_chk, scale)
+            score_chk = BlockChecksums(
+                check1=merge_panels(chk.check1),
+                check2=merge_panels(chk.check2),
+                class_counts=chk.class_counts,
             )
+            scores = merge_panels(fp16_matmul(q_i, run.k_t) * scale)
+            span = partial(self._span, p, run, scores, score_chk, panel, router, reports)
+            if not run_spans(router, p, run.first, run.n_tiles, span, quiet):
+                return False
+
+        lower = _rowsum_lower_bounds(panel.block_maxes, panel.row_max[:, None])[:, 0]
+        row_sum, counts = restrict_rowsum_stacked(panel.row_sum, lower, float(n_keys))
+        if counts.any():
+            if quiet:
+                return False
             _record_restorations(counts, reports)
 
-            denom = np.where(row_sum > 0.0, row_sum, 1.0).astype(np.float32)
-            o_block = panel.acc / denom[..., None]
-            router.corrupt(FaultSite.NORMALIZE, o_block, block=(i, -1))
-            acc_c1 = panel.acc_c1 / denom[..., None]
+        denom = np.where(row_sum > 0.0, row_sum, 1.0).astype(np.float32)
+        o_block = panel.acc / denom[..., None]
+        if not quiet:
+            router.corrupt(FaultSite.NORMALIZE, o_block, block=(p, -1))
+        acc_c1 = panel.acc_c1 / denom[..., None]
+        magnitude = _OUTPUT_MAGNITUDE_FLOOR * panel.acc_mag / denom[..., None]
+        if quiet:
+            if self.abft.output_flags(o_block, acc_c1, magnitude=magnitude).any():
+                return False
+        else:
             acc_c2 = panel.acc_c2 / denom[..., None]
-
-            verdicts = self.abft.verify_output_stacked(
-                o_block, acc_c1, acc_c2,
-                magnitude=_OUTPUT_MAGNITUDE_FLOOR * panel.acc_mag / denom[..., None],
-            )
+            verdicts = self.abft.verify_output_stacked(o_block, acc_c1, acc_c2, magnitude=magnitude)
             _record_stacked_verdicts("output", verdicts, reports)
-
-            out[:, row_blk] = o_block
-        return out
+        out[:, rows] = o_block.reshape(trials, -1, head_dim)
+        return True
 
     def _span(
         self,
@@ -237,50 +287,53 @@ class EFTAttention:
         reports: list[FaultToleranceReport],
         a: int,
         b: int,
+        quiet: bool,
     ) -> bool:
-        """Tiles ``a..b-1`` of ``run`` in row panel ``i``: one span.
+        """Tiles ``a..b-1`` of ``run`` in the panel span from row panel ``i``: one tile span.
 
-        Once per span: every ``corrupt`` offer (one call per tile and site),
-        ``exp``, the EXP-stage checksum propagation and product check, the
-        rescale factors, the row sums, one stacked ``P V`` with its three
-        checksum products and, for per-iteration verification, the output
-        checksum detection.  The running max is one ``np.maximum.accumulate``
-        over the tile axis (bitwise the chained ``np.maximum``); the row sum
-        (with the per-tile rowsum restriction) and the accumulators are
-        sequential loops over the tiles.
+        Once per span: ``exp``, the EXP-stage checksum propagation and
+        product check, the rescale factors, the row sums, one stacked ``P V``
+        with its three checksum products and, for per-iteration verification,
+        the rowsum restriction of every tile (:func:`_rowsum_lower_bounds`)
+        and the output checksum detection.  The running max is one
+        ``np.maximum.accumulate`` over the tile axis (bitwise the chained
+        ``np.maximum``); the row sum and the accumulators are sequential
+        loops over the tiles that overwrite the tile sums and the ``P V``
+        products in place, so ``pv[:, t]`` ends as the accumulator after tile
+        ``t``.
 
-        A one-tile span repairs what its checks flag, in the tile loop's
-        order.  A multi-tile span only detects: when a check flags for any
-        trial it returns ``False`` before touching ``panel`` or ``reports``.
-        Its offers could reach no fault (see
-        :meth:`~repro.fault.injector._BatchFaultRouter.quiet_prefix`), so
-        nothing else has changed either.
+        A span that is not quiet is one tile: it makes the tile's six offers
+        and repairs what its checks flag, in the tile loop's order.  A quiet
+        span makes no offer -- none could reach a fault (see
+        :meth:`~repro.fault.injector._BatchFaultRouter.quiet_prefix`) -- and
+        only detects: when a check flags for any trial it returns ``False``
+        before touching ``reports`` or ``panel`` (beyond block-max slots past
+        the committed tiles, which a replay rewrites), so nothing else has
+        changed either.
         """
         cfg = self.config
-        multi = b - a > 1
-        blocks = [(i, run.first + t) for t in range(a, b)]
+        block = (i, run.first + a)
         s = scores[:, a:b]
-        for t, block in enumerate(blocks):
-            router.corrupt(FaultSite.GEMM_QK, s[:, t], block=block)
+        if not quiet:
+            router.corrupt(FaultSite.GEMM_QK, s[:, 0], block=block)
 
         local_max = s.max(axis=-1)
         # maxes[:, 0] is the running max before the span, maxes[:, t + 1]
-        # after its tile t.  A REDUCE_MAX fault can only land in a one-tile
-        # span, after which no tile of the span reads the running max.
+        # after its tile t.
         maxes = np.concatenate((panel.row_max[:, None], local_max), axis=1)
         np.maximum.accumulate(maxes, axis=1, out=maxes)
-        for t, block in enumerate(blocks):
-            router.corrupt(FaultSite.REDUCE_MAX, maxes[:, t + 1], block=block)
+        if not quiet:
+            router.corrupt(FaultSite.REDUCE_MAX, maxes[:, 1], block=block)
         new_max = maxes[:, 1:]
 
         probs = np.exp(s - new_max[..., None])
-        for t, block in enumerate(blocks):
-            router.corrupt(FaultSite.SUBTRACT_EXP, probs[:, t], block=block)
+        if not quiet:
+            router.corrupt(FaultSite.SUBTRACT_EXP, probs[:, 0], block=block)
 
         check1 = score_chk.check1[:, a:b]
         flagged = self._exp_stage_flags(probs, new_max, check1, score_chk.class_counts)
         if flagged.any():
-            if multi:
+            if quiet:
                 return False
             tile_chk = BlockChecksums(
                 check1=check1[:, 0],
@@ -294,54 +347,55 @@ class EFTAttention:
 
         prev_max = maxes[:, :-1]
         rescale = np.where(np.isfinite(prev_max), np.exp(prev_max - new_max), np.float32(0.0))
-        tile_sums = probs.sum(axis=-1, dtype=np.float32)
-        p = FP16Operand(probs)
-        pv, pv_c1, pv_c2, pv_mag = (fp16_matmul(p, x[:, a:b]) for x in run.values)
+        # Each tile's sum, overwritten in place by the row sum after it.
+        sums = probs.sum(axis=-1, dtype=np.float32)
+        p = FP16Operand(split_panels(probs, panel.n_panels))
+        pv, pv_c1, pv_c2, pv_mag = (
+            merge_panels(fp16_matmul(p, x[:, :, a:b])) for x in run.values
+        )
 
+        m = run.first + a
+        panel.block_maxes[m : m + b - a] = np.moveaxis(local_max, 1, 0)
         row_sum = panel.row_sum
-        acc, acc_c1, acc_c2, acc_mag = panel.acc, panel.acc_c1, panel.acc_c2, panel.acc_mag
-        block_maxes = list(panel.block_maxes)
-        history = []
-        for t, block in enumerate(blocks):
-            r = rescale[:, t]
-            row_sum = r * row_sum + tile_sums[:, t]
+        for t in range(b - a):
+            row_sum = np.add(rescale[:, t] * row_sum, sums[:, t], out=sums[:, t])
+        if not quiet:
             router.corrupt(FaultSite.REDUCE_SUM, row_sum, block=block)
-            block_maxes.append(local_max[:, t])
-            if not self.unified_verification:
-                attended = min((block[1] + 1) * cfg.block_size, run.stop)
-                row_sum, counts = self._restrict_rowsum_stacked(
-                    row_sum, block_maxes, new_max[:, t], attended
-                )
-                if counts.any():
-                    if multi:
-                        return False
-                    _record_restorations(counts, reports)
+        if not self.unified_verification:
+            lower = _rowsum_lower_bounds(panel.block_maxes[: m + b - a], new_max)
+            attended = np.minimum(np.arange(m + 1, m + b - a + 1) * cfg.block_size, run.stop)
+            sums, counts = restrict_rowsum_stacked(sums, lower, attended[:, None])
+            if counts.any():
+                if quiet:
+                    return False
+                _record_restorations(counts, reports)
+            row_sum = sums[:, -1]
 
-            r = r[..., None]
+        acc, acc_c1, acc_c2, acc_mag = panel.acc, panel.acc_c1, panel.acc_c2, panel.acc_mag
+        for t in range(b - a):
+            r = rescale[:, t, :, None]
             acc_scaled = r * acc
-            router.corrupt(FaultSite.RESCALE, acc_scaled, block=block)
-            acc = acc_scaled + pv[:, t]
-            router.corrupt(FaultSite.GEMM_PV, acc, block=block)
-            acc_c1 = r * acc_c1 + pv_c1[:, t]
-            acc_c2 = r * acc_c2 + pv_c2[:, t]
-            acc_mag = r * acc_mag + pv_mag[:, t]
-            if self.unified_verification:
-                continue
-            if multi:
-                history.append((acc, acc_c1, acc_mag))
+            if not quiet:
+                router.corrupt(FaultSite.RESCALE, acc_scaled, block=block)
+            acc = np.add(acc_scaled, pv[:, t], out=pv[:, t])
+            if not quiet:
+                router.corrupt(FaultSite.GEMM_PV, acc, block=block)
+            acc_c1 = np.add(r * acc_c1, pv_c1[:, t], out=pv_c1[:, t])
+            acc_c2 = np.add(r * acc_c2, pv_c2[:, t], out=pv_c2[:, t])
+            acc_mag = np.add(r * acc_mag, pv_mag[:, t], out=pv_mag[:, t])
+        if not self.unified_verification:
+            if quiet:
+                magnitude = _OUTPUT_MAGNITUDE_FLOOR * pv_mag
+                if self.abft.output_flags(pv, pv_c1, magnitude=magnitude).any():
+                    return False
             else:
                 verdicts = self.abft.verify_output_stacked(
                     acc, acc_c1, acc_c2, magnitude=_OUTPUT_MAGNITUDE_FLOOR * acc_mag
                 )
                 _record_stacked_verdicts("gemm_pv", verdicts, reports)
-        if history:
-            o, o_c1, o_mag = (np.stack(x, axis=1) for x in zip(*history))
-            if self.abft.output_flags(o, o_c1, magnitude=_OUTPUT_MAGNITUDE_FLOOR * o_mag).any():
-                return False
 
         panel.row_max = maxes[:, -1]
         panel.row_sum = row_sum
-        panel.block_maxes = block_maxes
         panel.acc, panel.acc_c1, panel.acc_c2, panel.acc_mag = acc, acc_c1, acc_c2, acc_mag
         return True
 
@@ -473,23 +527,39 @@ class EFTAttention:
             new_max[t] = nm_t
             local_max[t] = lm_t
 
-    def _restrict_rowsum_stacked(
-        self,
-        row_sum: np.ndarray,
-        block_maxes: list[np.ndarray],
-        row_max: np.ndarray,
-        attended_positions: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """SNVR case 3 over the trial stack: ``(restricted, per-trial counts)``.
 
-        The normaliser is a sum of one exponential at most 1 per key position
-        attended so far, so ``attended_positions`` -- not the configured
-        sequence length, which the key count may exceed -- bounds it above.
-        ``row_sum`` itself is never modified; the caller records the counts.
-        """
-        stacked = np.stack(block_maxes, axis=0)
-        lower = np.exp(stacked - row_max[None, ...]).sum(axis=0).astype(np.float32)
-        return restrict_rowsum_stacked(row_sum, lower, float(attended_positions))
+def _rowsum_lower_bounds(block_maxes: np.ndarray, row_max: np.ndarray) -> np.ndarray:
+    """SNVR case 3's rowsum lower bounds of consecutive tiles, in one pass.
+
+    ``block_maxes`` is ``(blocks, L, rows)``: a panel's local block maxes up
+    to its last tile, and ``row_max`` is ``(L, tiles, rows)``: the running
+    max after each of the last ``tiles`` blocks.  Returns ``(L, tiles,
+    rows)``: tile ``t``'s bound adds ``exp(m - row_max[:, t])`` over the
+    block maxes ``m`` up to its own block, first to last, one float32 add
+    each -- the terms and the order of stacking those maxes and summing over
+    the stacked axis, tile by tile.  A later block's term is masked to
+    ``exp(-inf) = +0.0`` without being computed, so it raises no warning,
+    and adding +0.0 leaves a sum of exponentials (never -0.0) as it is.
+
+    A lone ``(trial, row)`` (``L * rows == 1``) is summed tile by tile:
+    NumPy sums a lone contiguous axis pairwise, not in order (see
+    :func:`repro.gemm.checksum._strided_folds`), and so does the stacked
+    per-tile sum.
+    """
+    n_blocks, n_tiles = block_maxes.shape[0], row_max.shape[1]
+    first = n_blocks - n_tiles
+    if row_max[:, 0].size == 1:
+        return np.stack(
+            [
+                np.exp(block_maxes[: first + t + 1] - row_max[None, :, t]).sum(axis=0)
+                for t in range(n_tiles)
+            ],
+            axis=1,
+        )
+    used = np.arange(n_blocks)[:, None] <= first + np.arange(n_tiles)
+    diff = np.full((n_blocks,) + row_max.shape, -np.inf, dtype=np.float32)
+    np.subtract(block_maxes[:, :, None], row_max, out=diff, where=used[:, None, :, None])
+    return np.exp(diff).sum(axis=0)
 
 
 def _record_restorations(counts: np.ndarray, reports: list[FaultToleranceReport]) -> None:
@@ -508,7 +578,8 @@ class _KeyValueRun:
     ``first`` is the run's first column-block index and ``stop`` the key
     position it ends at; ``values`` holds ``V`` and its checksums ``c1``,
     ``c2`` and the ``c1`` fold of ``|V|`` (which sizes the output
-    threshold), each ``(trials, tiles, B_c, ...)``.
+    threshold), each ``(trials, 1, tiles, B_c, ...)``: the panel axis of
+    one broadcasts against a panel span's stacked query panels.
     """
 
     first: int
@@ -521,12 +592,18 @@ class _KeyValueRun:
 
 @dataclass
 class _Panel:
-    """A row panel's running state: what a committed span advances."""
+    """A panel span's running state on its merged ``(trials x panels)`` axis.
 
+    This is what a committed tile span advances.  ``block_maxes[m]`` holds
+    block ``m``'s local max once the tile span holding it has committed;
+    later slots hold no committed value.
+    """
+
+    n_panels: int
     row_max: np.ndarray
     row_sum: np.ndarray
     acc: np.ndarray
     acc_c1: np.ndarray
     acc_c2: np.ndarray
     acc_mag: np.ndarray
-    block_maxes: list[np.ndarray]
+    block_maxes: np.ndarray

@@ -33,12 +33,20 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.attention.tiling import block_runs, partition_blocks
+from repro.attention.tiling import block_runs
 from repro.core.config import AttentionConfig, FaultToleranceReport
 from repro.core.decoupled import DecoupledFTAttention
 from repro.core.efta import EFTAttention
 from repro.core.efta_optimized import EFTAttentionOptimized
-from repro.core.stacked import forward_one_trial, forward_stacked, run_spans, tile_view
+from repro.core.stacked import (
+    block_view,
+    forward_one_trial,
+    forward_stacked,
+    merge_panels,
+    run_panels,
+    run_spans,
+    split_panels,
+)
 from repro.fault.injector import FaultInjector
 from repro.fault.models import FaultSite
 from repro.fp.float16 import FP16Operand, fp16_matmul
@@ -229,41 +237,55 @@ class UnprotectedAttention(ProtectionScheme):
         return forward_stacked(self._forward_group, q, k, v, router)
 
     def _forward_group(self, q, k, v, router, reports):
-        """The flash recurrence on ``(trials, seq, head_dim)`` operands, panel by panel.
+        """The flash recurrence on ``(trials, seq, head_dim)`` operands, span by span.
 
-        Each row panel stacks its equal-width column blocks on a tile axis,
-        as EFTA's kernel does (:meth:`repro.core.efta.EFTAttention._forward_group`):
-        GEMM I runs once per panel and run, the rest of the tile body once
-        per span (:func:`repro.core.stacked.run_spans`).  With no checks, a
-        span never flags.  The score GEMM's operands are rounded to FP16
-        once: ``K^T`` per run of equal-width blocks, ``Q_i`` per panel.
+        The same spans as EFTA's kernel
+        (:meth:`repro.core.efta.EFTAttention._forward_group`), through the
+        same span loops: panel spans of equal-height row panels
+        (:func:`repro.core.stacked.run_panels`) and, in each, tile spans of
+        equal-width column blocks (:func:`repro.core.stacked.run_spans`).
+        GEMM I runs once per panel span and run, broadcast over ``(trials,
+        panels, tiles, ...)``; the rest of the body runs once per tile span
+        on the merged ``(trials x panels)`` axis.  With no checks, a span
+        never flags.  The score GEMM's operands are rounded to FP16 once:
+        ``K^T`` per run of equal-width blocks, ``Q_i`` per panel span.
         """
+        cfg = self.config
+        runs = [
+            (first, n_tiles,
+             FP16Operand(np.swapaxes(block_view(k, n_tiles, cols)[:, None], -1, -2)),
+             block_view(v, n_tiles, cols)[:, None])
+            for first, n_tiles, cols in block_runs(k.shape[1], cfg.block_size)
+        ]
+        out = np.empty(q.shape, dtype=np.float32)
+        panel_span = partial(self._panel_span, q, runs, out, router)
+        run_panels(router, q.shape[0], q.shape[1], k.shape[1], cfg.block_size, panel_span)
+        return out
+
+    def _panel_span(self, q, runs, out, router, p, r, quiet) -> bool:
+        """Row panels ``p..r-1`` of one group: one panel span, which always commits."""
         cfg = self.config
         scale = np.float32(cfg.effective_scale)
         trials, seq_len, head_dim = q.shape
-        out = np.empty((trials, seq_len, head_dim), dtype=np.float32)
-        runs = [
-            (first, n_tiles, FP16Operand(np.swapaxes(tile_view(k, n_tiles, cols), -1, -2)),
-             tile_view(v, n_tiles, cols))
-            for first, n_tiles, cols in block_runs(k.shape[1], cfg.block_size)
-        ]
-        for i, row_blk in enumerate(partition_blocks(seq_len, cfg.block_size)):
-            q_i = FP16Operand(q[:, row_blk])[:, None]
-            rows = q_i.shape[2]
-            panel = _FlashPanel(
-                row_max=np.full((trials, rows), -np.inf, dtype=np.float32),
-                row_sum=np.zeros((trials, rows), dtype=np.float32),
-                acc=np.zeros((trials, rows, head_dim), dtype=np.float32),
-            )
-            for first, n_tiles, k_t, v_r in runs:
-                scores = fp16_matmul(q_i, k_t) * scale
-                span = partial(_unprotected_span, router, i, first, scores, v_r, panel)
-                run_spans(router, i, first, n_tiles, span)
-            denom = np.where(panel.row_sum > 0.0, panel.row_sum, 1.0)
-            o_block = (panel.acc / denom[..., None]).astype(np.float32)
-            router.corrupt(FaultSite.NORMALIZE, o_block, block=(i, -1))
-            out[:, row_blk] = o_block
-        return out
+        rows = slice(p * cfg.block_size, min(r * cfg.block_size, seq_len))
+        q_i = FP16Operand(block_view(q, r - p, rows))[:, :, None]
+        lead, height = trials * (r - p), q_i.shape[3]
+        panel = _FlashPanel(
+            n_panels=r - p,
+            row_max=np.full((lead, height), -np.inf, dtype=np.float32),
+            row_sum=np.zeros((lead, height), dtype=np.float32),
+            acc=np.zeros((lead, height, head_dim), dtype=np.float32),
+        )
+        for first, n_tiles, k_t, v_r in runs:
+            scores = merge_panels(fp16_matmul(q_i, k_t) * scale)
+            span = partial(_unprotected_span, router, p, first, scores, v_r, panel)
+            run_spans(router, p, first, n_tiles, span, quiet)
+        denom = np.where(panel.row_sum > 0.0, panel.row_sum, 1.0)
+        o_block = (panel.acc / denom[..., None]).astype(np.float32)
+        if not quiet:
+            router.corrupt(FaultSite.NORMALIZE, o_block, block=(p, -1))
+        out[:, rows] = o_block.reshape(trials, -1, head_dim)
+        return True
 
     def cost_breakdown(self, batch: int, heads: int) -> CostBreakdown:
         model = self._cost_model(batch, heads)
@@ -272,52 +294,59 @@ class UnprotectedAttention(ProtectionScheme):
         return CostBreakdown(name="unprotected", spec=self.spec, base=base, protection={})
 
 
-def _unprotected_span(router, i, first, scores, v_r, panel, a, b) -> bool:
-    """Tiles ``a..b-1`` of one run of the unprotected kernel: one span.
+def _unprotected_span(router, i, first, scores, v_r, panel, a, b, quiet) -> bool:
+    """Tiles ``a..b-1`` of one run of the unprotected kernel: one tile span.
 
-    Offers, ``exp``, the running max (one ``np.maximum.accumulate``), the
-    rescale factors, the row sums and one stacked ``P V`` run once per span;
-    the row sum and the accumulator stay sequential over the tiles.  Nothing
-    is checked, so the span always commits.
+    ``exp``, the running max (one ``np.maximum.accumulate``), the rescale
+    factors, the row sums and one stacked ``P V`` run once per span; the row
+    sum and the accumulator stay sequential over the tiles.  A span that is
+    not quiet is one tile and makes its six offers; a quiet span makes none.
+    Nothing is checked, so the span always commits.
     """
-    blocks = [(i, first + t) for t in range(a, b)]
+    block = (i, first + a)
     s = scores[:, a:b]
-    for t, block in enumerate(blocks):
-        router.corrupt(FaultSite.GEMM_QK, s[:, t], block=block)
+    if not quiet:
+        router.corrupt(FaultSite.GEMM_QK, s[:, 0], block=block)
     # maxes[:, 0] is the running max before the span, maxes[:, t + 1] after
-    # its tile t.  A REDUCE_MAX fault can only land in a one-tile span, after
-    # which no tile of the span reads the running max.
+    # its tile t.
     maxes = np.concatenate((panel.row_max[:, None], s.max(axis=-1)), axis=1)
     np.maximum.accumulate(maxes, axis=1, out=maxes)
-    for t, block in enumerate(blocks):
-        router.corrupt(FaultSite.REDUCE_MAX, maxes[:, t + 1], block=block)
+    if not quiet:
+        router.corrupt(FaultSite.REDUCE_MAX, maxes[:, 1], block=block)
     new_max = maxes[:, 1:]
     probs = np.exp(s - new_max[..., None])
-    for t, block in enumerate(blocks):
-        router.corrupt(FaultSite.SUBTRACT_EXP, probs[:, t], block=block)
+    if not quiet:
+        router.corrupt(FaultSite.SUBTRACT_EXP, probs[:, 0], block=block)
     rescale = np.exp(maxes[:, :-1] - new_max)
     rescale = np.where(np.isfinite(rescale), rescale, np.float32(0.0))
     tile_sums = probs.sum(axis=-1, dtype=np.float32)
     # FP32 value accumulation, matching flash_attention (only the score
     # GEMM is FP16).
-    pv = np.matmul(probs, v_r[:, a:b])
+    pv = merge_panels(np.matmul(split_panels(probs, panel.n_panels), v_r[:, :, a:b]))
     row_sum, acc = panel.row_sum, panel.acc
-    for t, block in enumerate(blocks):
+    for t in range(b - a):
         r = rescale[:, t]
         row_sum = r * row_sum + tile_sums[:, t]
-        router.corrupt(FaultSite.REDUCE_SUM, row_sum, block=block)
+        if not quiet:
+            router.corrupt(FaultSite.REDUCE_SUM, row_sum, block=block)
         acc_scaled = r[..., None] * acc
-        router.corrupt(FaultSite.RESCALE, acc_scaled, block=block)
-        acc = acc_scaled + pv[:, t]
-        router.corrupt(FaultSite.GEMM_PV, acc, block=block)
+        if not quiet:
+            router.corrupt(FaultSite.RESCALE, acc_scaled, block=block)
+        acc = np.add(acc_scaled, pv[:, t], out=pv[:, t])
+        if not quiet:
+            router.corrupt(FaultSite.GEMM_PV, acc, block=block)
     panel.row_max, panel.row_sum, panel.acc = maxes[:, -1], row_sum, acc
     return True
 
 
 @dataclass
 class _FlashPanel:
-    """A row panel's running max, row sum and accumulator in the unprotected kernel."""
+    """A panel span's running max, row sum and accumulator in the unprotected kernel.
 
+    They live on the span's merged ``(trials x panels)`` axis.
+    """
+
+    n_panels: int
     row_max: np.ndarray
     row_sum: np.ndarray
     acc: np.ndarray

@@ -110,14 +110,15 @@ def restrict_rowsum(
 def restrict_rowsum_stacked(
     rowsum: np.ndarray,
     lower_bound: np.ndarray,
-    upper_bound: float,
+    upper_bound: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Range-restrict a stacked ``(trials, rows)`` normaliser per trial.
+    """Range-restrict a stacked ``(trials, ...)`` normaliser per trial.
 
     The comparisons and the lower-bound substitution are elementwise, so a
-    trial's slice does not depend on the stack.  Returns the restricted
-    array and the per-trial restoration counts; :func:`restrict_rowsum` is
-    this at a trial axis of one.
+    trial's slice does not depend on the stack.  ``upper_bound`` may be an
+    array that broadcasts against ``rowsum`` (one bound per stacked tile,
+    say).  Returns the restricted array and the per-trial restoration
+    counts; :func:`restrict_rowsum` is this at a trial axis of one.
     """
     rowsum = np.asarray(rowsum, dtype=np.float32)
     # The theoretical lower bound is strictly positive (the row maximum always

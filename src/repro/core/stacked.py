@@ -9,20 +9,27 @@ two dims, reductions stay on the last axis -- so a trial's slice is bitwise
 the same whatever else is stacked with it.  A scalar ``forward`` is therefore
 the same kernel at a trial axis of one (:func:`forward_one_trial`).
 
-The fused kernels (``none``, ``efta``, ``efta_unified``) also stack a row
-panel's equal-width column blocks on a *tile* axis.  The products that no
-fault site sits between -- GEMM I and its checksums -- run once per panel;
-the rest of a tile's body runs once per *span* of tiles
-(:func:`run_spans`).  A span covers several tiles only where the router
-guarantees that no offer can reach a fault, and only detects: when one of
-its checks flags, it is dropped and its tiles re-run one at a time, through
-the same code and the existing repair paths.
+The fused kernels (``none``, ``efta``, ``efta_unified``) run a head's row
+panels in *panel spans* (:func:`run_panels`) and each panel's equal-width
+column blocks in *tile spans* (:func:`run_spans`).  A panel span stacks
+equal-height row panels after the trial axis: GEMM I and its checksums
+broadcast over ``(trials, panels, tiles, ...)``, one BLAS call per trial,
+panel and tile on the 2-D operands a lone panel uses, and the rest of the
+body runs on a merged ``(trials x panels)`` leading axis
+(:func:`merge_panels`).  A tile span stacks a panel's tiles on a tile axis.
+A span covers several panels or tiles only where the router guarantees that
+no offer can reach a fault.  Such a *quiet* span makes no offer and only
+detects: when one of its checks flags, it is dropped and its panels or tiles
+re-run one at a time, through the same code and the existing repair paths.
+So the span lengths never show in the outputs, the report counters or the
+injection records (``tests/core/test_panel_spans.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.attention.tiling import num_blocks
 from repro.core.config import FaultToleranceReport
 from repro.fault.injector import _BatchFaultRouter
 from repro.fault.models import FaultSite
@@ -36,37 +43,95 @@ TILE_SITES = (
     FaultSite.RESCALE,
     FaultSite.GEMM_PV,
 )
+#: The sites a panel span must be clear of: every tile site at blocks
+#: ``(i, j)`` and the normalisation at block ``(i, -1)``.
+PANEL_SITES = TILE_SITES + (FaultSite.NORMALIZE,)
+#: Float32 elements a panel span's stacked score block may hold, over the
+#: whole trial stack: two 64-row panels at 512 keys and one trial.
+PANEL_SPAN_ELEMENTS = 1 << 16
 
 
-def tile_view(x: np.ndarray, n_tiles: int, run: slice) -> np.ndarray:
-    """``x[:, run]`` of a ``(trials, seq, d)`` array as ``(trials, n_tiles, width, d)``.
+def block_view(x: np.ndarray, n_blocks: int, run: slice) -> np.ndarray:
+    """``x[:, run]`` of a ``(trials, seq, d)`` array as ``(trials, n_blocks, width, d)``.
 
-    A view whenever ``x``'s rows are evenly strided, so each tile keeps the
-    memory layout of ``x[:, block]``.
+    A view whenever ``x``'s rows are evenly strided, so each block keeps the
+    memory layout of ``x[:, block]``.  The kernels view runs of key/value
+    tiles and a panel span's query panels this way.
     """
-    return x[:, run].reshape(x.shape[0], n_tiles, -1, x.shape[-1])
+    return x[:, run].reshape(x.shape[0], n_blocks, -1, x.shape[-1])
 
 
-def run_spans(router, row_block: int, first_block: int, n_tiles: int, run_span) -> None:
+def merge_panels(x: np.ndarray) -> np.ndarray:
+    """``(trials, panels, ...)`` as ``(trials * panels, ...)``: the body's leading axis."""
+    return x.reshape((-1,) + x.shape[2:])
+
+
+def split_panels(x: np.ndarray, n_panels: int) -> np.ndarray:
+    """The inverse of :func:`merge_panels`, for the GEMM-II products."""
+    return x.reshape((-1, n_panels) + x.shape[1:])
+
+
+def run_panels(router, n_trials: int, seq_len: int, n_keys: int, block_size: int,
+               run_panel_span) -> None:
+    """Run a head's row panels, span by span.
+
+    Panel ``i`` holds query rows ``i * block_size`` up to the next block.  Each
+    span is the longest run of equal-height panels, from the next one, whose
+    stacked score block (``n_trials`` x panels x height x ``n_keys``) fits
+    :data:`PANEL_SPAN_ELEMENTS` and at which
+    :meth:`~repro.fault.injector._BatchFaultRouter.quiet_prefix` clears
+    every site of :data:`PANEL_SITES` -- or the next panel alone.
+    ``run_panel_span(p, r, quiet)`` runs panels ``p..r-1``.  A span of
+    several panels is quiet: it returns ``False`` when a check flagged,
+    having changed and recorded nothing, and its panels then re-run as spans
+    of one, which are not quiet and never decline.
+    """
+    n_panels = num_blocks(seq_len, block_size)
+    full = seq_len // block_size
+    n_cols = num_blocks(n_keys, block_size)
+    cap = PANEL_SPAN_ELEMENTS // max(1, n_trials * block_size * n_keys)
+    p = 0
+    while p < n_panels:
+        r = min(p + cap, full)
+        if r - p > 1:
+            blocks = [(i, j) for i in range(p, r) for j in (*range(n_cols), -1)]
+            r = p + router.quiet_prefix(PANEL_SITES, blocks) // (n_cols + 1)
+        r = max(r, p + 1)
+        if not run_panel_span(p, r, r - p > 1):
+            for i in range(p, r):
+                run_panel_span(i, i + 1, False)
+        p = r
+
+
+def run_spans(router, row_block: int, first_block: int, n_tiles: int, run_span,
+              quiet: bool = False) -> bool:
     """Run a row panel's ``n_tiles`` equal-width tiles, span by span.
 
-    Tile ``t`` is block ``(row_block, first_block + t)``.  Each span is the
-    longest run of tiles, from the next one, at which
-    :meth:`~repro.fault.injector._BatchFaultRouter.quiet_prefix` guarantees
-    that no per-tile offer can reach a fault -- or the next tile alone.
-    ``run_span(a, b)`` runs tiles ``a..b-1`` and returns ``False`` when a
-    multi-tile span's checks flagged; it must then have changed and recorded
-    nothing, and the span's tiles re-run as one-tile spans (which never
-    decline), so every repair runs exactly where a tile-by-tile loop runs it.
+    Tile ``t`` is block ``(row_block, first_block + t)``.  ``run_span(a, b,
+    quiet)`` runs tiles ``a..b-1``; a quiet span makes no offer, only
+    detects, and returns ``False`` when a check flagged, having changed and
+    recorded nothing.
+
+    In a quiet panel span (``quiet``) every tile is clear, so all of them run
+    as one quiet span and its verdict is returned for the panel span to act
+    on.  Otherwise each span is the longest run of tiles, from the next one,
+    at which :meth:`~repro.fault.injector._BatchFaultRouter.quiet_prefix`
+    clears every site of :data:`TILE_SITES` -- quiet when it holds several
+    tiles -- or the next tile alone.  A flagged span's tiles re-run as
+    one-tile spans (which never decline), so every repair runs exactly where
+    a tile-by-tile loop runs it, and this returns ``True``.
     """
+    if quiet:
+        return run_span(0, n_tiles, True)
     a = 0
     while a < n_tiles:
         blocks = [(row_block, first_block + t) for t in range(a, n_tiles)]
         b = a + max(1, router.quiet_prefix(TILE_SITES, blocks))
-        if not run_span(a, b):
+        if not run_span(a, b, b - a > 1):
             for t in range(a, b):
-                run_span(t, t + 1)
+                run_span(t, t + 1, False)
         a = b
+    return True
 
 
 def forward_stacked(group_kernel, q, k, v, router):

@@ -453,21 +453,34 @@ def _start_coordinator(host: str, port: int, authkey: str):
             )
             handler.start()
 
-    thread = threading.Thread(target=_serve, daemon=True, name="repro-coordinator")
-    thread.start()
+    server.accept_thread = threading.Thread(
+        target=_serve, daemon=True, name="repro-coordinator"
+    )
+    server.accept_thread.start()
     return tasks, results, control, server
 
 
+#: Seconds :func:`_stop_coordinator` waits for the accept thread to return.
+_COORDINATOR_JOIN_TIMEOUT = 5.0
+
+
 def _stop_coordinator(server) -> None:
-    """Best-effort shutdown of the in-thread manager server."""
+    """Shut the in-thread manager server down and join its accept thread.
+
+    On Linux, closing a listening socket does not wake a thread blocked in
+    ``accept()``, so the socket is shut down first: ``accept()`` then fails,
+    the accept loop returns, and the port stops listening.
+    """
+    server.stop_event.set()
     try:
-        server.stop_event.set()
-    except Exception:
-        pass
+        server.listener._listener._socket.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already shut down, or never connected
     try:
         server.listener.close()
-    except Exception:
+    except OSError:
         pass
+    server.accept_thread.join(_COORDINATOR_JOIN_TIMEOUT)
 
 
 @register_executor("distributed")

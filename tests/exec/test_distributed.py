@@ -343,6 +343,22 @@ class TestByteIdentity:
         _assert_byte_identical(serial_dir, dist_dir)
 
 
+class TestCoordinatorShutdown:
+    def test_finished_runs_leave_no_coordinator_thread_and_free_their_ports(self, tmp_path):
+        """Three runs in one process: each joins its accept thread and stops listening."""
+        for n in range(3):
+            spec = _sleep_sweep(n_trials=2, sleep=0.0, name=f"dist-shutdown-{n}")
+            executor = DistributedExecutor(
+                n_workers=1, lease_timeout=10.0, worker_imports=[str(KERNEL_PATH)]
+            )
+            result = run_experiment(spec, executor=executor, results_path=tmp_path / f"{n}")
+            assert result.complete
+            live = [t for t in threading.enumerate() if t.name == "repro-coordinator"]
+            assert live == [], f"run {n}"
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(executor.address, timeout=5).close()
+
+
 class TestChaos:
     def test_sigkilled_worker_is_respawned_and_bytes_match_serial(self, tmp_path):
         """Kill one of two workers mid-shard: the respawn policy spawns a
