@@ -5,7 +5,7 @@
     python -m repro run spec.json [--executor serial|process|distributed]
                                   [--workers N] [--results PATH]
                                   [--store jsonl|sqlite] [--progress]
-    python -m repro sweep spec.json [--expand-only] [...]
+                                  [--expand-only]
     python -m repro worker --connect HOST:PORT [--authkey KEY]
     python -m repro list-campaigns
     python -m repro list-fault-models
@@ -19,24 +19,28 @@
 
 ``run`` auto-detects campaign vs. sweep specs (a ``grid`` key marks a sweep)
 and executes through any registered backend; ``--progress`` streams
-plain-text heartbeat lines (trials done, throughput, ETA) from every backend.
-``sweep`` is the same engine but insists on a grid and can print the expanded
-campaigns; ``worker`` joins a ``--executor distributed`` coordinator and
-pulls trial batches until the run ends; ``list-campaigns`` shows every
-registered trial kernel with its one-line summary; ``report`` re-renders
-finished results (a campaign file, an experiment stream, a sweep results
-directory, or a sqlite results database -- the store backend is sniffed from
-the path) without re-running anything -- for an interrupted run it prints
-the completion state instead and exits 1.  ``pareto`` joins a finished
-scheme sweep's detection statistics (with confidence intervals) against the
-roofline cost models and prints the Pareto-optimal scheme set.  ``query``
-streams filtered trial records (by campaign, point, scheme, fault model,
-detected flag) out of any store backend, on finished or in-flight runs,
-without loading whole record sets; ``store convert`` migrates a results
-path between backends (``--to sqlite`` aggregates JSONL checkpoints into
-one queryable database, ``--to jsonl`` exports canonical checkpoint files).
+plain-text heartbeat lines (trials done, throughput, ETA) from every backend,
+and ``--expand-only`` prints the expanded campaigns without running them.
+``worker`` joins a ``--executor distributed`` coordinator and pulls trial
+batches until the run ends; ``list-campaigns`` shows every registered trial
+kernel with its one-line summary.
 
-``run``/``sweep`` also take ``--target-ci`` (with ``--adaptive-batch`` /
+The reading verbs never re-run anything, and all of them read stored results
+through :func:`repro.store.open_store`, which sniffs the backend from the
+path.  ``report`` re-renders finished results (a campaign file, a sweep
+results directory, a sqlite results database, or an experiment stream) --
+for an interrupted run it prints the completion state instead and exits 1.
+``pareto`` joins a finished scheme sweep's detection statistics (with
+confidence intervals) against the roofline cost models and prints the
+Pareto-optimal scheme set.  ``query`` streams filtered trial records (by
+campaign, point, scheme, fault model, detected flag) on finished or
+in-flight runs, without loading whole record sets; ``store convert``
+migrates a results path between backends (``--to sqlite`` aggregates JSONL
+checkpoints into one queryable database, ``--to jsonl`` exports canonical
+checkpoint files).  Experiment streams (``ExperimentResult.to_jsonl``) hold
+a whole experiment in one file; ``report`` and ``pareto`` read them too.
+
+``run`` also takes ``--target-ci`` (with ``--adaptive-batch`` /
 ``--max-trials``) to run the spec adaptively: grid points stop early once
 their metric's confidence interval is tight enough and top up in batches
 otherwise -- equivalent to an ``"adaptive": {...}`` block in the spec.
@@ -47,21 +51,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
-from repro.exec.checkpoint import campaign_results_path
 from repro.exec.engine import run_experiment
 from repro.exec.executors import available_executors
-from repro.exec.results import ExperimentResult, PointResult, TrialRecordSet
+from repro.exec.results import ExperimentResult, PointResult
 from repro.exec.spec import ExperimentSpec
 from repro.store import (
     DEFAULT_STORE,
     MANIFEST_NAME,
+    ResultsStore,
+    StoreView,
     available_stores,
+    build_store,
     open_store,
-    progress_sidecar_path,
-    read_manifest,
     sniff_store,
 )
 
@@ -237,32 +242,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _check_results_path(
-    parser: argparse.ArgumentParser,
-    spec: ExperimentSpec,
-    results,
-    store: str | None,
-) -> None:
-    if results is None:
-        return
-    if (store or spec.store or DEFAULT_STORE) != DEFAULT_STORE:
-        # Layout shape is the store's business (validated at runner
-        # construction); only the jsonl layout has the file/dir split worth
-        # catching at the argparse layer.
-        return
-    path = Path(results)
-    if spec.is_sweep and path.is_file():
-        parser.error(
-            f"--results {results} is a file, but a sweep spec checkpoints "
-            "into a directory of per-point JSONL files"
-        )
-    if not spec.is_sweep and path.is_dir():
-        parser.error(
-            f"--results {results} is a directory, but a campaign spec "
-            "checkpoints into a single JSONL file"
-        )
-
-
 def _apply_adaptive_flags(
     parser: argparse.ArgumentParser, spec: ExperimentSpec, args: argparse.Namespace
 ) -> ExperimentSpec:
@@ -377,12 +356,21 @@ def _progress_listeners(args: argparse.Namespace):
 
 def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     spec = _load_spec(parser, args.spec)
+    if args.expand_only:
+        for campaign in spec.expand():
+            print(campaign.to_json())
+        return 0
     spec = _apply_adaptive_flags(parser, spec, args)
     if args.store is not None and args.store not in available_stores():
         parser.error(
             f"unknown --store {args.store!r}; registered: {available_stores()}"
         )
-    _check_results_path(parser, spec, args.results, args.store)
+    try:
+        # The store judges the --results shape before any worker spins up.
+        store = build_store(args.store, args.results, spec)
+        store.validate_layout()
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.trial_batch is not None:
         import os
 
@@ -399,7 +387,7 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         executor=_build_cli_executor(parser, args),
         n_workers=args.workers,
         results_path=args.results,
-        store=args.store,
+        store=store,
         progress=_progress_listeners(args),
     )
     from repro.analysis.reporting import format_experiment_result
@@ -441,20 +429,6 @@ def cmd_worker(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     except (ConnectionError, OSError) as exc:
         print(f"error: cannot reach coordinator at {args.connect}: {exc}", file=sys.stderr)
         return 1
-
-
-def cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    spec = _load_spec(parser, args.spec)
-    if not spec.is_sweep:
-        parser.error(
-            f"spec file {args.spec} has no grid; it is a single campaign "
-            "(run it with `repro run`)"
-        )
-    if args.expand_only:
-        for campaign in spec.expand():
-            print(campaign.to_json())
-        return 0
-    return cmd_run(parser, args)
 
 
 def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -543,31 +517,47 @@ def cmd_faultload_describe(parser: argparse.ArgumentParser, args: argparse.Names
 
 
 def cmd_report(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    blocks = []
-    all_complete = True
-    for raw in args.results:
-        path = Path(raw)
-        if not path.exists():
-            # A run interrupted before any record landed writes no JSONL at
-            # all, but the engine still persisted its progress sidecar --
-            # show that completion state instead of refusing outright.
-            sidecar = progress_sidecar_path(path)
-            if sidecar.exists():
-                rendered = [_report_progress_sidecar(parser, sidecar)]
-            else:
-                parser.error(f"results path {raw} does not exist")
-        elif path.is_dir():
-            rendered = _report_directory(parser, path)
-        elif sniff_store(path) != DEFAULT_STORE:
-            rendered = [_report_store(parser, path)]
-        else:
-            rendered = [_report_file(parser, path)]
-        blocks.extend(text for text, _ in rendered)
-        all_complete = all_complete and all(complete for _, complete in rendered)
-    print("\n\n".join(blocks))
+    blocks = [
+        block for raw in args.results for block in _report_blocks(parser, Path(raw))
+    ]
+    print("\n\n".join(text for text, _ in blocks))
     # Exit 1 on a partial run so scripts can gate on completion, after the
     # state has been shown (resume with the same spec + --results to finish).
-    return 0 if all_complete else 1
+    return 0 if all(complete for _, complete in blocks) else 1
+
+
+def _report_blocks(
+    parser: argparse.ArgumentParser, path: Path
+) -> list[tuple[str, bool]]:
+    """Render one results path as ``(text, complete)`` blocks.
+
+    A finished run renders its aggregate, an interrupted one its completion
+    state.  A sweep directory that lost its manifest renders one block per
+    JSONL file in it.
+    """
+    from repro.analysis.reporting import format_experiment_result
+
+    if path.is_dir() and not (path / MANIFEST_NAME).exists():
+        files = sorted(p for p in path.iterdir() if p.suffix == ".jsonl")
+        if not files:
+            parser.error(f"results directory {path} holds no JSONL files")
+        return [block for file in files for block in _report_blocks(parser, file)]
+    stream = _experiment_stream(path)
+    if stream is not None:
+        if stream.complete:
+            return [(format_experiment_result(stream), True)]
+        states = [(p.spec.label, len(p.records), p.spec.n_trials) for p in stream.points]
+        label = f"experiment: {stream.spec.label}"
+        return [(_format_partial_points(label, states), False)]
+    with _stored_view(parser, path) as (store, view):
+        if view.complete:
+            result = _finished_result(parser, store, view)
+            return [(format_experiment_result(result), True)]
+        if view.spec.is_sweep:
+            states = [(p.spec.label, p.n_done, p.spec.n_trials) for p in view.points]
+            label = f"{view.spec.kind}: {view.spec.label}"
+            return [(_format_partial_points(label, states), False)]
+        return [(_campaign_completion_line(path, view), False)]
 
 
 def _completion_line(label: str, done: int, total: int) -> str:
@@ -575,112 +565,23 @@ def _completion_line(label: str, done: int, total: int) -> str:
     return f"{label} -- partial run: {done}/{total} trials ({percent:.1f}%)"
 
 
-def _report_progress_sidecar(
-    parser: argparse.ArgumentParser, sidecar: Path
-) -> tuple[str, bool]:
-    """Render the completion state of a run known only by its sidecar."""
+def _campaign_completion_line(path: Path, view: StoreView) -> str:
+    """The completion line of an interrupted single campaign."""
+    point = view.points[0]
+    label = f"campaign: {point.spec.label}"
     try:
-        data = json.loads(sidecar.read_text())
-        spec = ExperimentSpec.from_dict(data["spec"])
-        progress = data["progress"]
-        done, total = progress["trials_done"], progress["trials_total"]
-    except (ValueError, KeyError, TypeError) as exc:
-        parser.error(f"cannot parse progress sidecar {sidecar}: {exc}")
-    line = _completion_line(f"campaign: {spec.label}", done, total)
-    return f"{line} [progress snapshot; no trial records on disk]", False
-
-
-def _report_file(parser: argparse.ArgumentParser, path: Path) -> tuple[str, bool]:
-    """Render one results file: ``(text, complete)``.
-
-    Handles a campaign checkpoint or an experiment stream; an incomplete
-    file renders its completion state instead of the aggregate.
-    """
-    from repro.analysis.reporting import format_experiment_result, format_point_result
-
-    text = path.read_text()
-    if _has_experiment_header(text):
-        result = ExperimentResult.from_jsonl(text)
-        if not result.complete:
-            return _format_partial_points(
-                f"experiment: {result.spec.label}",
-                [(p.spec.label, len(p.records.records), p.spec.n_trials) for p in result.points],
-            ), False
-        return format_experiment_result(result), True
-    try:
-        records = TrialRecordSet.from_jsonl(text)
-    except ValueError as exc:
-        parser.error(f"cannot parse {path}: {exc}")
-    if not records.complete:
-        line = _completion_line(
-            f"campaign: {records.spec.label}", len(records), records.spec.n_trials
-        )
-        sidecar = progress_sidecar_path(path)
-        if sidecar.exists():
-            try:
-                snapshot = json.loads(sidecar.read_text())["progress"]
-                line += (
-                    f" [last snapshot: {snapshot['trials_done']}"
-                    f"/{snapshot['trials_total']} trials]"
-                )
-            except (ValueError, KeyError, TypeError):
-                pass  # a torn sidecar must not break the report
-        return line, False
-    title = f"campaign: {records.spec.label} ({records.spec.n_trials} trials)"
-    return format_point_result(records.aggregate(), title=title), True
-
-
-def _report_store(parser: argparse.ArgumentParser, path: Path) -> tuple[str, bool]:
-    """Render a non-jsonl results store (e.g. a sqlite database) for ``report``.
-
-    Same output shapes as the jsonl renderers: a completion line or
-    per-point table for a partial run, the full aggregate otherwise.
-    """
-    from repro.analysis.reporting import format_experiment_result, format_point_result
-
-    store = open_store(path)
-    try:
-        try:
-            view = store.load_view()
-        except ValueError as exc:
-            parser.error(f"cannot read {path}: {exc}")
-        spec = view.spec
-        if not view.complete:
-            if spec.is_sweep:
-                states = [(p.spec.label, p.n_done, p.spec.n_trials) for p in view.points]
-                return _format_partial_points(f"{spec.kind}: {spec.label}", states), False
-            point = view.points[0]
-            line = _completion_line(
-                f"campaign: {point.spec.label}", point.n_done, point.spec.n_trials
-            )
-            if isinstance(view.progress, dict):
-                try:
-                    line += (
-                        f" [last snapshot: {view.progress['trials_done']}"
-                        f"/{view.progress['trials_total']} trials]"
-                    )
-                except KeyError:
-                    pass  # a foreign snapshot shape must not break the report
-            return line, False
-        if not spec.is_sweep:
-            records = store.point_records(0)
-            title = f"campaign: {records.spec.label} ({records.spec.n_trials} trials)"
-            return format_point_result(records.aggregate(), title=title), True
-        points = []
-        for index, (point, _campaign_spec) in enumerate(spec.expanded()):
-            records = store.point_records(index)
-            points.append(
-                PointResult(
-                    index=index,
-                    point=point,
-                    spec=records.spec,
-                    records=records,
-                    result=records.aggregate(),
-                )
-            )
-        return format_experiment_result(ExperimentResult(spec=spec, points=points)), True
-    finally:
-        store.close()
+        snapshot = view.progress["trials_done"], view.progress["trials_total"]
+    except (KeyError, TypeError):
+        snapshot = None  # a torn or foreign snapshot must not break the report
+    if not path.exists():
+        # Killed before its first record landed: the snapshot is the state.
+        done, total = snapshot or (point.n_done, point.spec.n_trials)
+        line = _completion_line(label, done, total)
+        return f"{line} [progress snapshot; no trial records on disk]"
+    line = _completion_line(label, point.n_done, point.spec.n_trials)
+    if snapshot is not None:
+        line += f" [last snapshot: {snapshot[0]}/{snapshot[1]} trials]"
+    return line
 
 
 def _format_partial_points(label: str, states: list[tuple[str, int, int]]) -> str:
@@ -701,125 +602,74 @@ def _format_partial_points(label: str, states: list[tuple[str, int, int]]) -> st
     return format_table(["point", "trials", "state"], rows, title=title)
 
 
-def _has_experiment_header(text: str) -> bool:
-    """Whether JSONL text opens with an ``{"experiment": ...}`` header line."""
-    lines = text.splitlines()
-    if not lines:
-        return False
-    try:
-        head = json.loads(lines[0])
-    except ValueError:
-        return False
-    return isinstance(head, dict) and "experiment" in head
+def _experiment_stream(path: Path) -> ExperimentResult | None:
+    """The experiment stream at ``path``, or ``None`` for a store's results.
 
-
-def _load_point_records(path: Path, campaign_spec) -> TrialRecordSet:
-    """Load one grid point's checkpoint, trusting the file's own trial count.
-
-    An adaptive run stops a point early (or tops it up past the sweep's
-    ``n_trials``) and rewrites the file header to the count actually on
-    disk; the manifest spec still carries the initial count, so the file
-    header decides completeness.  Identity is still checked -- the count is
-    the only field allowed to differ from the manifest's expansion.
+    A stream (:meth:`ExperimentResult.to_jsonl`) holds a whole experiment in
+    one file under an ``{"experiment": ...}`` header line; no store reads it.
     """
-    from dataclasses import replace
-
-    from repro.exec.checkpoint import parse_results_text
-
-    text = path.read_text()
-    spec_dict, _ = parse_results_text(text)
-    spec = campaign_spec
-    if spec_dict is not None and isinstance(spec_dict.get("n_trials"), int):
-        spec = replace(campaign_spec, n_trials=spec_dict["n_trials"])
-    return TrialRecordSet.from_jsonl(text, spec=spec)
-
-
-def _load_experiment_result(parser: argparse.ArgumentParser, raw: str) -> ExperimentResult:
-    """Load a *finished* experiment from any results store or stream file."""
-    path = Path(raw)
-    if not path.exists():
-        parser.error(f"results path {raw} does not exist")
-    if path.is_file() and sniff_store(path) != DEFAULT_STORE:
-        store = open_store(path)
+    if not path.is_file() or sniff_store(path) != DEFAULT_STORE:
+        return None
+    with path.open() as handle:
         try:
-            try:
-                view = store.load_view()
-            except ValueError as exc:
-                parser.error(f"cannot read {raw}: {exc}")
-            points = []
-            for point_view in view.points:
-                if not point_view.complete:
-                    parser.error(
-                        f"grid point {point_view.spec.label!r} is partial "
-                        f"({point_view.n_done}/{point_view.spec.n_trials} "
-                        "trials); finish the run first"
-                    )
-                records = store.point_records(point_view.index)
-                points.append(
-                    PointResult(
-                        index=point_view.index,
-                        point=point_view.point,
-                        spec=records.spec,
-                        records=records,
-                        result=records.aggregate(),
-                    )
-                )
-            return ExperimentResult(spec=view.spec, points=points)
-        finally:
-            store.close()
-    if path.is_dir():
-        manifest = path / MANIFEST_NAME
-        if not manifest.exists():
+            head = json.loads(handle.readline())
+        except ValueError:
+            return None
+    if not (isinstance(head, dict) and "experiment" in head):
+        return None
+    return ExperimentResult.from_jsonl(path.read_text())
+
+
+@contextmanager
+def _stored_view(parser: argparse.ArgumentParser, path: Path):
+    """``(store, counts-only view)`` of ``path``, read by the store that wrote it."""
+    store = open_store(path)
+    try:
+        try:
+            view = store.load_view()
+        except ValueError as exc:
+            parser.error(f"cannot read {path}: {exc}")
+        yield store, view
+    finally:
+        store.close()
+
+
+def _finished_result(
+    parser: argparse.ArgumentParser, store: ResultsStore, view: StoreView
+) -> ExperimentResult:
+    """The finished experiment ``view`` describes, every point aggregated."""
+    points = []
+    for point_view in view.points:
+        if not point_view.complete:
             parser.error(
-                f"results directory {raw} has no {MANIFEST_NAME} manifest; "
-                "run the sweep through `repro run --results` first"
+                f"grid point {point_view.spec.label!r} is partial "
+                f"({point_view.n_done}/{point_view.spec.n_trials} trials); "
+                "finish the run first"
             )
-        spec, _progress = read_manifest(manifest)
-        points = []
-        for index, (point, campaign_spec) in enumerate(spec.expanded()):
-            point_path = campaign_results_path(path, index, campaign_spec)
-            if not point_path.exists():
-                parser.error(
-                    f"grid point {campaign_spec.label!r} has no results file "
-                    f"in {raw}; finish the run first (resume with the same "
-                    "spec + --results)"
-                )
-            try:
-                records = _load_point_records(point_path, campaign_spec)
-            except ValueError as exc:
-                parser.error(f"cannot parse {point_path}: {exc}")
-            if not records.complete:
-                parser.error(
-                    f"grid point {campaign_spec.label!r} is partial "
-                    f"({len(records.records)}/{records.spec.n_trials} trials); "
-                    "finish the run first"
-                )
-            points.append(
-                PointResult(
-                    index=index,
-                    point=point,
-                    spec=records.spec,
-                    records=records,
-                    result=records.aggregate(),
-                )
+        records = store.point_records(point_view.index)
+        points.append(
+            PointResult(
+                index=point_view.index,
+                point=point_view.point,
+                spec=records.spec,
+                records=records,
+                result=records.aggregate(),
             )
-        return ExperimentResult(spec=spec, points=points)
-    text = path.read_text()
-    if not _has_experiment_header(text):
-        parser.error(
-            f"{raw} is not an experiment stream or sweep results directory"
         )
-    result = ExperimentResult.from_jsonl(text)
-    if not result.complete:
-        parser.error(f"experiment in {raw} is partial; finish the run first")
-    return result
+    return ExperimentResult(spec=view.spec, points=points)
 
 
 def cmd_pareto(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from repro.analysis.decision import pareto_frontier, summarize_schemes
     from repro.analysis.reporting import format_pareto_table
 
-    result = _load_experiment_result(parser, args.results)
+    path = Path(args.results)
+    result = _experiment_stream(path)
+    if result is None:
+        with _stored_view(parser, path) as (store, view):
+            result = _finished_result(parser, store, view)
+    elif not result.complete:
+        parser.error(f"experiment in {args.results} is partial; finish the run first")
     cost_params = {}
     if args.cost_params:
         try:
@@ -903,58 +753,6 @@ def cmd_store_convert(parser: argparse.ArgumentParser, args: argparse.Namespace)
     return 0
 
 
-def _report_directory(
-    parser: argparse.ArgumentParser, path: Path
-) -> list[tuple[str, bool]]:
-    """Render a sweep results directory (manifest-aware, else per-file).
-
-    With a manifest, an interrupted sweep renders a per-point completion
-    table instead of erroring out.  The table is computed from the JSONL
-    files themselves (the ground truth); the manifest contributes the spec,
-    so even never-started grid points render as ``pending`` rows.
-    """
-    from repro.analysis.reporting import format_experiment_result
-
-    manifest = path / MANIFEST_NAME
-    if manifest.exists():
-        spec, _progress = read_manifest(manifest)
-        points = []
-        states: list[tuple[str, int, int]] = []
-        for index, (point, campaign_spec) in enumerate(spec.expanded()):
-            point_path = campaign_results_path(path, index, campaign_spec)
-            if point_path.exists():
-                records = _load_point_records(point_path, campaign_spec)
-            else:
-                records = TrialRecordSet(spec=campaign_spec)
-            states.append((campaign_spec.label, len(records.records), records.spec.n_trials))
-            points.append((index, point, records.spec, records))
-        if not all(done == total for _, done, total in states):
-            label = f"{spec.kind}: {spec.label}"
-            return [(_format_partial_points(label, states), False)]
-        complete_points = [
-            PointResult(
-                index=index,
-                point=point,
-                spec=campaign_spec,
-                records=records,
-                result=records.aggregate(),
-            )
-            for index, point, campaign_spec, records in points
-        ]
-        return [
-            (
-                format_experiment_result(
-                    ExperimentResult(spec=spec, points=complete_points)
-                ),
-                True,
-            )
-        ]
-    jsonl_files = sorted(p for p in path.iterdir() if p.suffix == ".jsonl")
-    if not jsonl_files:
-        parser.error(f"results directory {path} holds no JSONL files")
-    return [_report_file(parser, p) for p in jsonl_files]
-
-
 # --------------------------------------------------------------------------- #
 # Entry point
 # --------------------------------------------------------------------------- #
@@ -970,16 +768,13 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run a campaign or sweep spec (auto-detected)"
     )
     _add_execution_flags(run)
-    run.set_defaults(handler=cmd_run)
-
-    sweep = commands.add_parser("sweep", help="run a sweep spec (requires a grid)")
-    _add_execution_flags(sweep)
-    sweep.add_argument(
+    run.add_argument(
         "--expand-only",
         action="store_true",
-        help="print the expanded campaign specs as JSON lines and exit",
+        help="print the expanded campaign specs as JSON lines and exit "
+        "without running anything",
     )
-    sweep.set_defaults(handler=cmd_sweep)
+    run.set_defaults(handler=cmd_run)
 
     worker = commands.add_parser(
         "worker",
@@ -1225,8 +1020,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pareto.add_argument(
         "results",
-        help="finished sweep results: a directory written by `repro run "
-        "--results`, or an experiment JSONL stream",
+        help="finished sweep results: a directory or sqlite database "
+        "written by `repro run --results`, or an experiment JSONL stream",
     )
     pareto.add_argument(
         "--metric",

@@ -153,8 +153,8 @@ class TrialRecordSet:
             spec = ExperimentSpec.from_dict(spec_dict)
         elif spec_dict is not None and _resume_key(spec_dict) != _resume_key(spec.to_dict()):
             raise ValueError(
-                f"results text belongs to campaign "
-                f"{spec_dict.get('campaign')!r}, not {spec.campaign!r}"
+                f"results text belongs to another spec than {spec.label!r}: "
+                "the specs differ beyond name and n_trials"
             )
         in_range = {i: r for i, r in records.items() if i < spec.n_trials}
         return cls(spec=spec, records=in_range)

@@ -27,7 +27,7 @@ from repro.exec.checkpoint import (
 )
 from repro.exec.results import TrialRecordSet
 from repro.exec.spec import ExperimentSpec
-from repro.fault.runner import _canonical_json
+from repro.fault.runner import _canonical_json, _resume_key
 from repro.store.base import (
     MANIFEST_NAME,
     PointView,
@@ -178,15 +178,21 @@ class JsonlStore(ResultsStore):
         if sidecar.exists():
             try:
                 progress = json.loads(sidecar.read_text()).get("progress")
-            except ValueError:
+            except (ValueError, AttributeError):
                 progress = None  # a torn sidecar must not break reads
         if self.path.exists():
             spec_dict, _ = parse_results_text(self.path.read_text())
             if spec_dict is not None:
                 return ExperimentSpec.from_dict(spec_dict), progress
         if sidecar.exists():
-            data = json.loads(sidecar.read_text())
-            return ExperimentSpec.from_dict(data["spec"]), data.get("progress")
+            # No header on disk: the sidecar is all that describes the run.
+            try:
+                data = json.loads(sidecar.read_text())
+                return ExperimentSpec.from_dict(data["spec"]), data.get("progress")
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"cannot parse progress sidecar {sidecar}: {exc}") from None
+        if self.path.exists():
+            raise ValueError(f"{self.path} has no spec header")
         raise ValueError(f"results path {self.path} does not exist")
 
     def _point_state(
@@ -197,16 +203,26 @@ class JsonlStore(ResultsStore):
         The file's own header decides the trial count: an adaptive run stops
         a point early (or tops it up past the sweep's ``n_trials``) and
         rewrites the header to the count actually on disk, while the
-        manifest spec still carries the initial count.
+        manifest spec still carries the initial count.  Records outside
+        ``[0, n_trials)`` of that count are not part of the point and are
+        ignored.  Any other header field must match the expansion's: a file
+        written for another spec raises ``ValueError`` naming the file.
         """
         path = self._point_path(spec, index, campaign_spec)
         if not path.exists():
             return campaign_spec, None, {}
         spec_dict, records = parse_results_text(path.read_text())
         point_spec = campaign_spec
-        if spec_dict is not None and isinstance(spec_dict.get("n_trials"), int):
-            point_spec = replace(campaign_spec, n_trials=spec_dict["n_trials"])
-        return point_spec, spec_dict, records
+        if spec_dict is not None:
+            if _resume_key(spec_dict) != _resume_key(campaign_spec.to_dict()):
+                raise ValueError(
+                    f"{path} holds results for a different campaign spec "
+                    f"than {campaign_spec.label!r}"
+                )
+            if isinstance(spec_dict.get("n_trials"), int):
+                point_spec = replace(campaign_spec, n_trials=spec_dict["n_trials"])
+        in_range = {i: r for i, r in records.items() if i < point_spec.n_trials}
+        return point_spec, spec_dict, in_range
 
     def load_view(self) -> StoreView:
         spec, progress = self._read_experiment()

@@ -29,6 +29,16 @@ SWEEP = ExperimentSpec(
     name="cli-sweep",
 )
 
+#: CI's Pareto smoke spec: three schemes of the transformer kernel.
+PARETO = ExperimentSpec(
+    campaign="transformer_inference",
+    n_trials=2,
+    seed=7,
+    params={"hidden_dim": 16, "seq_len": 8},
+    grid={"scheme": ["none", "efta_unified", "decoupled"]},
+    name="ci-pareto",
+)
+
 THRESHOLD = ExperimentSpec(
     campaign="abft_detection_sweep",
     n_trials=6,
@@ -125,22 +135,14 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", str(sweep_file), "--results", str(blocker)])
 
-
-class TestSweepCommand:
-    def test_requires_grid(self, campaign_file):
-        with pytest.raises(SystemExit):
-            main(["sweep", str(campaign_file)])
-
-    def test_expand_only_prints_campaigns(self, sweep_file, capsys):
-        assert main(["sweep", str(sweep_file), "--expand-only"]) == 0
+    def test_expand_only_prints_campaigns(self, sweep_file, tmp_path, capsys):
+        results = tmp_path / "out"
+        assert main(["run", str(sweep_file), "--expand-only", "--results", str(results)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4
         specs = [json.loads(line) for line in lines]
         assert {s["params"]["scheme"] for s in specs} == {"tensor", "element"}
-
-    def test_runs_grid(self, sweep_file, capsys):
-        assert main(["sweep", str(sweep_file)]) == 0
-        assert "sweep: cli-sweep" in capsys.readouterr().out
+        assert not results.exists()  # nothing ran
 
 
 class TestListCampaigns:
@@ -391,6 +393,64 @@ class TestReport:
         assert "sweep: cli-sweep" in capsys.readouterr().out
 
 
+class TestPareto:
+    """`repro pareto` reads every layout a finished sweep can take."""
+
+    @pytest.fixture(scope="class")
+    def finished(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("pareto")
+        run_experiment(PARETO, results_path=root / "out")
+        run_experiment(PARETO, results_path=root / "out.db", store="sqlite")
+        (root / "stream.jsonl").write_text(run_experiment(PARETO).to_jsonl())
+        return root
+
+    def test_same_frontier_from_every_layout(self, finished, capsys):
+        outputs = []
+        for name in ("out", "out.db", "stream.jsonl"):
+            assert main(["pareto", str(finished / name)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0].startswith("pareto: ci-pareto -- detection_rate")
+        assert outputs[0].rstrip().endswith("pareto-optimal: none, efta_unified")
+
+    @pytest.mark.parametrize("layout", ["jsonl", "sqlite", "stream"])
+    def test_killed_sweep_refused(self, tmp_path, capsys, layout):
+        results = tmp_path / {"jsonl": "out", "sqlite": "out.db", "stream": "s.jsonl"}[layout]
+        if layout == "stream":
+            lines = run_experiment(PARETO).to_jsonl().splitlines()
+            results.write_text("\n".join(lines[:-1]) + "\n")
+        else:
+
+            class Killed(Exception):
+                pass
+
+            def kill_at_third_trial(event):
+                if event.kind == "trial" and event.trials_done == 3:
+                    raise Killed
+
+            with pytest.raises(Killed):
+                run_experiment(
+                    PARETO,
+                    results_path=results,
+                    store=layout,
+                    progress=kill_at_third_trial,
+                )
+        with pytest.raises(SystemExit) as exc:
+            main(["pareto", str(results)])
+        assert exc.value.code == 2
+        assert "is partial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("[1, 2]", "must be a JSON object"), ("{seq_len", "is not valid JSON")],
+    )
+    def test_cost_params_must_be_a_json_object(self, finished, capsys, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["pareto", str(finished / "out"), "--cost-params", value])
+        assert exc.value.code == 2
+        assert f"--cost-params {message}" in capsys.readouterr().err
+
+
 class TestProgressFlag:
     @pytest.mark.parametrize("executor", ["serial", "process", "distributed"])
     def test_every_backend_emits_monotonic_heartbeats(
@@ -617,6 +677,16 @@ class TestStoreCli:
                 ]
             )
         assert "unknown --store 'parquet'" in capsys.readouterr().err
+
+    def test_store_layout_error_is_a_usage_error(self, sweep_file, tmp_path, capsys):
+        """The store's own layout rule refuses --results before anything runs."""
+        results = tmp_path / "out"
+        results.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(sweep_file), "--results", str(results), "--store", "sqlite"])
+        assert exc.value.code == 2
+        assert "the sqlite store keeps one database file" in capsys.readouterr().err
+        assert list(results.iterdir()) == []
 
     @pytest.mark.parametrize("store", ["jsonl", "sqlite"])
     def test_query_counts_and_streams(self, sweep_file, tmp_path, capsys, store):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.exec.results import (
@@ -87,6 +89,13 @@ class TestTrialRecordSet:
     def test_from_jsonl_rejects_foreign_header(self):
         other = ExperimentSpec(campaign="snvr_detection_sweep", n_trials=4)
         with pytest.raises(ValueError, match="belongs to"):
+            TrialRecordSet.from_jsonl(_full_set().to_jsonl(), spec=other)
+
+    def test_from_jsonl_says_the_spec_differs(self):
+        """A header of the same campaign under another seed is refused as a
+        different spec, not as a different campaign."""
+        other = replace(SPEC, seed=SPEC.seed + 1)
+        with pytest.raises(ValueError, match="specs differ"):
             TrialRecordSet.from_jsonl(_full_set().to_jsonl(), spec=other)
 
     def test_save_load_round_trip(self, tmp_path):

@@ -3,7 +3,8 @@
 Covers the registry, backend selection, the jsonl byte-compatibility
 contract, the sqlite backend's durability/resume semantics, torn-write
 recovery on both backends, filtered queries over finished and killed runs,
-and cross-backend conversion.
+the JSONL read rules every reading verb of the CLI shares, and cross-backend
+conversion.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.exec.checkpoint import campaign_results_path
+from repro.exec.cli import main as cli_main
 from repro.exec.engine import run_experiment
 from repro.exec.executors import SerialExecutor
 from repro.exec.spec import ExperimentSpec
@@ -516,6 +518,51 @@ class TestQuery:
             assert detected + missed == total
         finally:
             store.close()
+
+
+# --------------------------------------------------------------------------- #
+# Read rules every reading verb shares
+# --------------------------------------------------------------------------- #
+class TestJsonlReadRules:
+    """`report`, `query`, `pareto` and `store convert` read a JSONL results
+    path through the same store rules."""
+
+    def test_records_past_the_header_count_are_not_read(self, tmp_path, capsys):
+        path = tmp_path / "campaign.jsonl"
+        _run(CAMPAIGN, path)
+        header, *lines = [json.loads(line) for line in path.read_text().splitlines()]
+        header["spec"]["n_trials"] = 4
+        stray = {"trial": 7, "record": lines[0]["record"]}
+        entries = [header, *lines[:3], stray]
+        path.write_text("".join(json.dumps(entry) + "\n" for entry in entries))
+
+        assert cli_main(["report", str(path)]) == 1
+        assert "partial run: 3/4 trials" in capsys.readouterr().out
+        assert cli_main(["query", str(path), "--count"]) == 0
+        assert capsys.readouterr().out.strip() == "3"
+        database = tmp_path / "campaign.db"
+        argv = ["store", "convert", str(path), "--to", "sqlite", "--out", str(database)]
+        assert cli_main(argv) == 0
+        assert "converted 3 record(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [["report"], ["pareto"], ["query", "--count"]], ids=lambda a: a[0]
+    )
+    def test_point_file_of_another_spec_is_refused(self, tmp_path, capsys, argv):
+        results = tmp_path / "sweep"
+        _run(SWEEP, results)
+        second = _jsonl_point_files(SWEEP, results)[1]
+        header, *lines = second.read_text().splitlines()
+        spec = json.loads(header)
+        spec["spec"]["seed"] += 1
+        second.write_text("\n".join([json.dumps(spec), *lines]) + "\n")
+
+        with pytest.raises(SystemExit) as exc:
+            cli_main([argv[0], str(results), *argv[1:]])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{second} holds results for a different campaign spec" in captured.err
 
 
 # --------------------------------------------------------------------------- #
