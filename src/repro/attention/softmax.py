@@ -13,12 +13,24 @@ from __future__ import annotations
 import numpy as np
 
 
-def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis`` (subtracts the row max)."""
+def stable_softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable softmax along ``axis`` (subtracts the row max).
+
+    ``out``, a C-contiguous float32 array of ``x``'s shape, receives the
+    result and is returned; for a C-contiguous ``x`` every step runs in it.
+    """
     x = np.asarray(x, dtype=np.float32)
     m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    if out is None or not x.flags.c_contiguous:
+        # A fresh result follows x's memory order, and the row sums with it.
+        e = np.exp(x - m)
+        result = e / np.sum(e, axis=axis, keepdims=True)
+        if out is None:
+            return result
+        out[...] = result
+        return out
+    e = np.exp(np.subtract(x, m, out=out), out=out)
+    return np.divide(e, np.sum(e, axis=axis, keepdims=True), out=e)
 
 
 def block_softmax(scores: np.ndarray, row_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ from repro.fault.models import FaultSite
 from repro.hardware.costmodel import AttentionCostModel, AttentionWorkload, CostBreakdown
 from repro.hardware.memory import HBMTracker
 from repro.hardware.specs import A100_PCIE_40GB, GPUSpec
+from repro.scratch import frame, take
 
 
 class DecoupledFTAttention:
@@ -83,42 +84,49 @@ class DecoupledFTAttention:
         return forward_stacked(self._forward_group, q, k, v, router)
 
     def _forward_group(self, q, k, v, router, reports):
-        # Kernel I: ABFT-protected GEMM producing the full score tensor.
-        scores, verdicts_qk = protected_matmul_stacked(
-            q,
-            np.swapaxes(k, -1, -2),
-            router,
-            scale=self.config.effective_scale,
-            site=FaultSite.GEMM_QK,
-            atol=self.config.checksum_atol,
-            rtol=self.config.score_checksum_rtol,
-        )
-        for report, verdict in zip(reports, verdicts_qk):
-            report.record_detection("gemm_qk", verdict.detected)
-            report.record_correction("gemm_qk", verdict.corrected)
-            report.record_uncorrectable("gemm_qk", verdict.uncorrectable)
+        """The three kernels on one group's ``(trials, seq, head_dim)`` operands.
 
-        # Kernel II: DMR-protected row softmax producing the full P tensor.
-        probs, stats_list = dmr_row_softmax_stacked(scores, router)
-        for report, stats in zip(reports, stats_list):
-            report.record_detection("softmax", stats["detected"])
-            report.record_recomputation("softmax", stats["rounds"])
+        The score and probability tensors are scratch of the group's frame
+        (:mod:`repro.scratch`); the output is a fresh array.
+        """
+        with frame():
+            # Kernel I: ABFT-protected GEMM producing the full score tensor.
+            scores, verdicts_qk = protected_matmul_stacked(
+                q,
+                np.swapaxes(k, -1, -2),
+                router,
+                scale=self.config.effective_scale,
+                site=FaultSite.GEMM_QK,
+                atol=self.config.checksum_atol,
+                rtol=self.config.score_checksum_rtol,
+                out=take(q.shape[:-1] + (k.shape[-2],)),
+            )
+            for report, verdict in zip(reports, verdicts_qk):
+                report.record_detection("gemm_qk", verdict.detected)
+                report.record_correction("gemm_qk", verdict.corrected)
+                report.record_uncorrectable("gemm_qk", verdict.uncorrectable)
 
-        # Kernel III: ABFT-protected GEMM producing the attention output.
-        out, verdicts_pv = protected_matmul_stacked(
-            probs,
-            v,
-            router,
-            scale=1.0,
-            site=FaultSite.GEMM_PV,
-            atol=self.config.checksum_atol,
-            rtol=self.config.output_checksum_rtol,
-        )
-        for report, verdict in zip(reports, verdicts_pv):
-            report.record_detection("gemm_pv", verdict.detected)
-            report.record_correction("gemm_pv", verdict.corrected)
-            report.record_uncorrectable("gemm_pv", verdict.uncorrectable)
-        return out
+            # Kernel II: DMR-protected row softmax producing the full P tensor.
+            probs, stats_list = dmr_row_softmax_stacked(scores, router, out=take(scores.shape))
+            for report, stats in zip(reports, stats_list):
+                report.record_detection("softmax", stats["detected"])
+                report.record_recomputation("softmax", stats["rounds"])
+
+            # Kernel III: ABFT-protected GEMM producing the attention output.
+            out, verdicts_pv = protected_matmul_stacked(
+                probs,
+                v,
+                router,
+                scale=1.0,
+                site=FaultSite.GEMM_PV,
+                atol=self.config.checksum_atol,
+                rtol=self.config.output_checksum_rtol,
+            )
+            for report, verdict in zip(reports, verdicts_pv):
+                report.record_detection("gemm_pv", verdict.detected)
+                report.record_correction("gemm_pv", verdict.corrected)
+                report.record_uncorrectable("gemm_pv", verdict.uncorrectable)
+            return out
 
     # ------------------------------------------------------------------ #
     def cost_breakdown(self, batch: int, heads: int, track_memory: bool = False) -> CostBreakdown:

@@ -45,9 +45,11 @@ from repro.core.stacked import (
     forward_one_trial,
     forward_stacked,
     merge_panels,
+    round_operand,
     run_panels,
     run_spans,
     split_panels,
+    take_product,
 )
 from repro.core.strided_abft import BlockChecksums, KeyChecksums, StridedABFT
 from repro.fault.injector import FaultInjector
@@ -55,6 +57,7 @@ from repro.fault.models import FaultSite
 from repro.fp.float16 import FP16Operand, fp16_matmul
 from repro.hardware.costmodel import AttentionCostModel, AttentionWorkload, CostBreakdown
 from repro.hardware.specs import A100_PCIE_40GB, GPUSpec
+from repro.scratch import frame, take
 
 #: Fraction of the accumulated magnitude |P| |V| used as the output
 #: verification's round-off floor.  FP16 accumulation noise is ~5e-4 of the
@@ -227,7 +230,7 @@ class EFTAttention:
         trials, seq_len, head_dim = q.shape
         stride = cfg.checksum_stride
         rows = slice(p * cfg.block_size, min(r * cfg.block_size, seq_len))
-        q_i = FP16Operand(block_view(q, r - p, rows))[:, :, None]
+        q_i = round_operand(block_view(q, r - p, rows))[:, :, None]
         lead, height = trials * (r - p), q_i.shape[3]
         panel = _Panel(
             n_panels=r - p,
@@ -248,7 +251,8 @@ class EFTAttention:
                 check2=merge_panels(chk.check2),
                 class_counts=chk.class_counts,
             )
-            scores = merge_panels(fp16_matmul(q_i, run.k_t) * scale)
+            scores = fp16_matmul(q_i, run.k_t, out=take_product(q_i, run.k_t))
+            scores = merge_panels(np.multiply(scores, scale, out=scores))
             span = partial(self._span, p, run, scores, score_chk, panel, router, reports)
             if not run_spans(router, p, run.first, run.n_tiles, span, quiet):
                 return False
@@ -300,7 +304,9 @@ class EFTAttention:
         ``np.maximum``); the row sum and the accumulators are sequential
         loops over the tiles that overwrite the tile sums and the ``P V``
         products in place, so ``pv[:, t]`` ends as the accumulator after tile
-        ``t``.
+        ``t``.  The probabilities, ``P``'s rounding and the ``P V`` products
+        are taken from the span's scratch frame (:mod:`repro.scratch`); a
+        committing span copies its last accumulators into the panel's.
 
         A span that is not quiet is one tile: it makes the tile's six offers
         and repairs what its checks flag, in the tile loop's order.  A quiet
@@ -326,7 +332,8 @@ class EFTAttention:
             router.corrupt(FaultSite.REDUCE_MAX, maxes[:, 1], block=block)
         new_max = maxes[:, 1:]
 
-        probs = np.exp(s - new_max[..., None])
+        probs = np.subtract(s, new_max[..., None], out=take(s.shape))
+        np.exp(probs, out=probs)
         if not quiet:
             router.corrupt(FaultSite.SUBTRACT_EXP, probs[:, 0], block=block)
 
@@ -349,9 +356,10 @@ class EFTAttention:
         rescale = np.where(np.isfinite(prev_max), np.exp(prev_max - new_max), np.float32(0.0))
         # Each tile's sum, overwritten in place by the row sum after it.
         sums = probs.sum(axis=-1, dtype=np.float32)
-        p = FP16Operand(split_panels(probs, panel.n_panels))
+        p = round_operand(split_panels(probs, panel.n_panels))
+        values = [x[:, :, a:b] for x in run.values]
         pv, pv_c1, pv_c2, pv_mag = (
-            merge_panels(fp16_matmul(p, x[:, :, a:b])) for x in run.values
+            merge_panels(fp16_matmul(p, x, out=take_product(p, x))) for x in values
         )
 
         m = run.first + a
@@ -396,7 +404,10 @@ class EFTAttention:
 
         panel.row_max = maxes[:, -1]
         panel.row_sum = row_sum
-        panel.acc, panel.acc_c1, panel.acc_c2, panel.acc_mag = acc, acc_c1, acc_c2, acc_mag
+        np.copyto(panel.acc, acc)
+        np.copyto(panel.acc_c1, acc_c1)
+        np.copyto(panel.acc_c2, acc_c2)
+        np.copyto(panel.acc_mag, acc_mag)
         return True
 
     # ------------------------------------------------------------------ #
@@ -488,12 +499,15 @@ class EFTAttention:
         :meth:`_verify_exp_stage` re-checks linearly).
         """
         cfg = self.config
-        p_check = exp_checksum_propagate(check1, new_max, class_counts)
-        bad = verify_exp_products(
-            probs, p_check, cfg.checksum_stride,
-            rtol=cfg.exp_product_rtol, atol=cfg.exp_product_atol,
-        )
-        return (bad | (p_check == 0.0)).reshape(probs.shape[0], -1).any(axis=1)
+        with frame():
+            p_check = exp_checksum_propagate(
+                check1, new_max, class_counts, out=take(check1.shape, np.float64)
+            )
+            bad = verify_exp_products(
+                probs, p_check, cfg.checksum_stride,
+                rtol=cfg.exp_product_rtol, atol=cfg.exp_product_atol,
+            )
+            return (bad | (p_check == 0.0)).reshape(probs.shape[0], -1).any(axis=1)
 
     def _repair_exp_stage(
         self,
@@ -594,9 +608,10 @@ class _KeyValueRun:
 class _Panel:
     """A panel span's running state on its merged ``(trials x panels)`` axis.
 
-    This is what a committed tile span advances.  ``block_maxes[m]`` holds
-    block ``m``'s local max once the tile span holding it has committed;
-    later slots hold no committed value.
+    This is what a committed tile span advances; the four accumulators are
+    the panel span's own arrays, which each committed tile span overwrites.
+    ``block_maxes[m]`` holds block ``m``'s local max once the tile span
+    holding it has committed; later slots hold no committed value.
     """
 
     n_panels: int

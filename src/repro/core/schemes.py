@@ -43,9 +43,11 @@ from repro.core.stacked import (
     forward_one_trial,
     forward_stacked,
     merge_panels,
+    round_operand,
     run_panels,
     run_spans,
     split_panels,
+    take_product,
 )
 from repro.fault.injector import FaultInjector
 from repro.fault.models import FaultSite
@@ -53,6 +55,7 @@ from repro.fp.float16 import FP16Operand, fp16_matmul
 from repro.hardware.costmodel import AttentionCostModel, AttentionWorkload, CostBreakdown
 from repro.hardware.kernel import KernelLedger
 from repro.hardware.specs import A100_PCIE_40GB, GPUSpec
+from repro.scratch import take
 
 
 class ProtectionScheme:
@@ -248,7 +251,9 @@ class UnprotectedAttention(ProtectionScheme):
         panels, tiles, ...)``; the rest of the body runs once per tile span
         on the merged ``(trials x panels)`` axis.  With no checks, a span
         never flags.  The score GEMM's operands are rounded to FP16 once:
-        ``K^T`` per run of equal-width blocks, ``Q_i`` per panel span.
+        ``K^T`` per run of equal-width blocks, ``Q_i`` per panel span.  The
+        scores, probabilities and ``P V`` products are taken from the
+        span's scratch frame (:mod:`repro.scratch`).
         """
         cfg = self.config
         runs = [
@@ -268,7 +273,7 @@ class UnprotectedAttention(ProtectionScheme):
         scale = np.float32(cfg.effective_scale)
         trials, seq_len, head_dim = q.shape
         rows = slice(p * cfg.block_size, min(r * cfg.block_size, seq_len))
-        q_i = FP16Operand(block_view(q, r - p, rows))[:, :, None]
+        q_i = round_operand(block_view(q, r - p, rows))[:, :, None]
         lead, height = trials * (r - p), q_i.shape[3]
         panel = _FlashPanel(
             n_panels=r - p,
@@ -277,7 +282,8 @@ class UnprotectedAttention(ProtectionScheme):
             acc=np.zeros((lead, height, head_dim), dtype=np.float32),
         )
         for first, n_tiles, k_t, v_r in runs:
-            scores = merge_panels(fp16_matmul(q_i, k_t) * scale)
+            scores = fp16_matmul(q_i, k_t, out=take_product(q_i, k_t))
+            scores = merge_panels(np.multiply(scores, scale, out=scores))
             span = partial(_unprotected_span, router, p, first, scores, v_r, panel)
             run_spans(router, p, first, n_tiles, span, quiet)
         denom = np.where(panel.row_sum > 0.0, panel.row_sum, 1.0)
@@ -299,9 +305,10 @@ def _unprotected_span(router, i, first, scores, v_r, panel, a, b, quiet) -> bool
 
     ``exp``, the running max (one ``np.maximum.accumulate``), the rescale
     factors, the row sums and one stacked ``P V`` run once per span; the row
-    sum and the accumulator stay sequential over the tiles.  A span that is
-    not quiet is one tile and makes its six offers; a quiet span makes none.
-    Nothing is checked, so the span always commits.
+    sum and the accumulator stay sequential over the tiles, and the last
+    accumulator is copied into the panel's.  A span that is not quiet is one
+    tile and makes its six offers; a quiet span makes none.  Nothing is
+    checked, so the span always commits.
     """
     block = (i, first + a)
     s = scores[:, a:b]
@@ -314,7 +321,8 @@ def _unprotected_span(router, i, first, scores, v_r, panel, a, b, quiet) -> bool
     if not quiet:
         router.corrupt(FaultSite.REDUCE_MAX, maxes[:, 1], block=block)
     new_max = maxes[:, 1:]
-    probs = np.exp(s - new_max[..., None])
+    probs = np.subtract(s, new_max[..., None], out=take(s.shape))
+    np.exp(probs, out=probs)
     if not quiet:
         router.corrupt(FaultSite.SUBTRACT_EXP, probs[:, 0], block=block)
     rescale = np.exp(maxes[:, :-1] - new_max)
@@ -322,7 +330,8 @@ def _unprotected_span(router, i, first, scores, v_r, panel, a, b, quiet) -> bool
     tile_sums = probs.sum(axis=-1, dtype=np.float32)
     # FP32 value accumulation, matching flash_attention (only the score
     # GEMM is FP16).
-    pv = merge_panels(np.matmul(split_panels(probs, panel.n_panels), v_r[:, :, a:b]))
+    p, v = split_panels(probs, panel.n_panels), v_r[:, :, a:b]
+    pv = merge_panels(np.matmul(p, v, out=take_product(p, v)))
     row_sum, acc = panel.row_sum, panel.acc
     for t in range(b - a):
         r = rescale[:, t]
@@ -335,7 +344,8 @@ def _unprotected_span(router, i, first, scores, v_r, panel, a, b, quiet) -> bool
         acc = np.add(acc_scaled, pv[:, t], out=pv[:, t])
         if not quiet:
             router.corrupt(FaultSite.GEMM_PV, acc, block=block)
-    panel.row_max, panel.row_sum, panel.acc = maxes[:, -1], row_sum, acc
+    panel.row_max, panel.row_sum = maxes[:, -1], row_sum
+    np.copyto(panel.acc, acc)
     return True
 
 
@@ -343,7 +353,8 @@ def _unprotected_span(router, i, first, scores, v_r, panel, a, b, quiet) -> bool
 class _FlashPanel:
     """A panel span's running max, row sum and accumulator in the unprotected kernel.
 
-    They live on the span's merged ``(trials x panels)`` axis.
+    They live on the span's merged ``(trials x panels)`` axis; ``acc`` is the
+    panel span's own array, which each tile span overwrites.
     """
 
     n_panels: int

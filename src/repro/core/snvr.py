@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.scratch import frame, take
+
 
 def exp_checksum_propagate(
     score_check: np.ndarray,
     row_max: np.ndarray,
     class_counts: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Propagate a score-block checksum through subtraction and exponentiation.
 
@@ -36,28 +39,44 @@ def exp_checksum_propagate(
     subtracts ``row_max[i]`` from every score and exponentiates,
     ``exp(score_check[i, c] - class_counts[c] * row_max[i])`` which equals the
     *product* of the corresponding probability elements when no error occurred.
+    ``out``, a float64 array of the result's shape, receives it.
     """
-    score_check = np.asarray(score_check, dtype=np.float64)
-    row_max = np.asarray(row_max, dtype=np.float64)
+    score_check = np.asarray(score_check)
+    row_max = np.asarray(row_max, dtype=np.float64)[..., None]
     counts = np.asarray(class_counts, dtype=np.float64)
-    # ``counts * row_max[..., None]`` broadcasts over any leading dims (a
-    # stacked trial axis included) and is elementwise identical to the 2D
-    # ``counts[None, :] * row_max[:, None]`` form per slice.
-    return np.exp(score_check - counts * row_max[..., None])
+    if out is None:
+        out = np.empty(np.broadcast_shapes(score_check.shape, row_max.shape, counts.shape))
+    # ``counts * row_max`` (the max on a trailing axis of one) broadcasts
+    # over any leading dims (a stacked trial axis included) and is
+    # elementwise identical to the 2D ``counts[None, :] * row_max[:, None]``
+    # form per slice.  Every step is in float64 (a float32 checksum widens
+    # exactly on the way in).
+    np.multiply(counts, row_max, out=out)
+    np.subtract(score_check, out, out=out, dtype=np.float64)
+    return np.exp(out, out=out)
 
 
-def strided_products(p_block: np.ndarray, stride: int) -> np.ndarray:
+def strided_products(p_block: np.ndarray, stride: int, out: np.ndarray | None = None) -> np.ndarray:
     """Product of every ``stride``-interleaved group of a probability block.
 
     Returns an array of shape ``(rows, stride)`` whose entry ``(i, c)`` is
-    ``prod_l P[i, c + l*stride]`` (missing tail elements contribute 1).
+    ``prod_l P[i, c + l*stride]`` (missing tail elements contribute 1), in
+    float64 (or in ``out``, a float64 array of that shape).  A float32 or
+    float16 block is multiplied in as it is: each factor widens to float64
+    exactly, so the products are those of a float64 copy.
     """
-    p = np.asarray(p_block, dtype=np.float64)
+    p = np.asarray(p_block)
+    if p.dtype not in (np.float16, np.float32, np.float64):
+        p = p.astype(np.float64)
     cols = p.shape[-1]
     groups = -(-cols // stride)
     # Leading dims (a stacked trial axis) pass through: the per-group product
     # accumulation is elementwise, so stacked slices match the 2D results.
-    out = np.ones(p.shape[:-1] + (stride,), dtype=np.float64)
+    shape = p.shape[:-1] + (stride,)
+    if out is None:
+        out = np.ones(shape, dtype=np.float64)
+    else:
+        out.fill(1.0)
     for l in range(groups):
         chunk = p[..., l * stride : (l + 1) * stride]
         out[..., : chunk.shape[-1]] *= chunk
@@ -78,14 +97,22 @@ def verify_exp_products(
     tolerance -- i.e. the classes containing a GEMM / subtraction /
     exponentiation error (Algorithm 1, line 13).
     """
-    prods = strided_products(p_block, stride)
     p_check = np.asarray(p_check, dtype=np.float64)
-    deviation = np.abs(prods - p_check)
-    threshold = atol + rtol * np.abs(p_check)
-    # A NaN/Inf anywhere in the chain (corrupted probability or hijacked
-    # maximum) makes the comparison itself non-finite; flag it rather than
-    # letting the NaN comparison silently return False.
-    return (deviation > threshold) | ~np.isfinite(deviation)
+    with frame():
+        prods = strided_products(
+            p_block, stride, out=take(np.shape(p_block)[:-1] + (stride,), np.float64)
+        )
+        deviation = np.subtract(
+            prods, p_check, out=take(np.broadcast_shapes(prods.shape, p_check.shape), np.float64)
+        )
+        np.abs(deviation, out=deviation)
+        threshold = np.abs(p_check, out=take(p_check.shape, np.float64))
+        np.multiply(threshold, rtol, out=threshold)
+        np.add(threshold, atol, out=threshold)
+        # A NaN/Inf anywhere in the chain (corrupted probability or hijacked
+        # maximum) makes the comparison itself non-finite; flag it rather than
+        # letting the NaN comparison silently return False.
+        return (deviation > threshold) | ~np.isfinite(deviation)
 
 
 def restrict_rowsum(

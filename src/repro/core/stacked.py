@@ -23,6 +23,11 @@ detects: when one of its checks flags, it is dropped and its panels or tiles
 re-run one at a time, through the same code and the existing repair paths.
 So the span lengths never show in the outputs, the report counters or the
 injection records (``tests/core/test_panel_spans.py``).
+
+Each panel span and each tile span runs in a frame of the thread's scratch
+arena (:mod:`repro.scratch`): the kernels take their span-sized temporaries
+there, and a tile span copies the accumulators it commits into the panel
+span's own.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from repro.attention.tiling import num_blocks
 from repro.core.config import FaultToleranceReport
 from repro.fault.injector import _BatchFaultRouter
 from repro.fault.models import FaultSite
+from repro.fp.float16 import FP16Operand
+from repro.scratch import frame, take
 
 #: The fault sites a fused kernel offers once per tile, in offer order.
 TILE_SITES = (
@@ -47,8 +54,8 @@ TILE_SITES = (
 #: ``(i, j)`` and the normalisation at block ``(i, -1)``.
 PANEL_SITES = TILE_SITES + (FaultSite.NORMALIZE,)
 #: Float32 elements a panel span's stacked score block may hold, over the
-#: whole trial stack: two 64-row panels at 512 keys and one trial.
-PANEL_SPAN_ELEMENTS = 1 << 16
+#: whole trial stack: four 64-row panels at 512 keys and one trial.
+PANEL_SPAN_ELEMENTS = 1 << 17
 
 
 def block_view(x: np.ndarray, n_blocks: int, run: slice) -> np.ndarray:
@@ -59,6 +66,25 @@ def block_view(x: np.ndarray, n_blocks: int, run: slice) -> np.ndarray:
     tiles and a panel span's query panels this way.
     """
     return x[:, run].reshape(x.shape[0], n_blocks, -1, x.shape[-1])
+
+
+def round_operand(x: np.ndarray) -> FP16Operand:
+    """``FP16Operand(x)``, rounded into a taken buffer when ``x`` is C-contiguous.
+
+    A C-contiguous ``x`` rounds into a C-contiguous array either way, so the
+    operand keeps its memory order (which picks the BLAS call); any other
+    layout rounds into a fresh array in ``x``'s order.  The operand must not
+    outlive the caller's frame.
+    """
+    if x.flags.c_contiguous:
+        return FP16Operand(x, out=take(x.shape))
+    return FP16Operand(x)
+
+
+def take_product(a, b) -> np.ndarray:
+    """A taken float32 buffer for the batched product ``a @ b`` of two operands of equal rank."""
+    lead = tuple(map(max, a.shape[:-2], b.shape[:-2]))
+    return take(lead + (a.shape[-2], b.shape[-1]))
 
 
 def merge_panels(x: np.ndarray) -> np.ndarray:
@@ -78,13 +104,15 @@ def run_panels(router, n_trials: int, seq_len: int, n_keys: int, block_size: int
     Panel ``i`` holds query rows ``i * block_size`` up to the next block.  Each
     span is the longest run of equal-height panels, from the next one, whose
     stacked score block (``n_trials`` x panels x height x ``n_keys``) fits
-    :data:`PANEL_SPAN_ELEMENTS` and at which
+    :data:`PANEL_SPAN_ELEMENTS` (four 64-row panels at 512 keys and one
+    trial) and at which
     :meth:`~repro.fault.injector._BatchFaultRouter.quiet_prefix` clears
     every site of :data:`PANEL_SITES` -- or the next panel alone.
-    ``run_panel_span(p, r, quiet)`` runs panels ``p..r-1``.  A span of
-    several panels is quiet: it returns ``False`` when a check flagged,
-    having changed and recorded nothing, and its panels then re-run as spans
-    of one, which are not quiet and never decline.
+    ``run_panel_span(p, r, quiet)`` runs panels ``p..r-1`` in a scratch
+    frame of its own (:mod:`repro.scratch`).  A span of several panels is
+    quiet: it returns ``False`` when a check flagged, having changed and
+    recorded nothing, and its panels then re-run as spans of one, which are
+    not quiet and never decline.
     """
     n_panels = num_blocks(seq_len, block_size)
     full = seq_len // block_size
@@ -97,9 +125,9 @@ def run_panels(router, n_trials: int, seq_len: int, n_keys: int, block_size: int
             blocks = [(i, j) for i in range(p, r) for j in (*range(n_cols), -1)]
             r = p + router.quiet_prefix(PANEL_SITES, blocks) // (n_cols + 1)
         r = max(r, p + 1)
-        if not run_panel_span(p, r, r - p > 1):
+        if not _in_frame(run_panel_span, p, r, r - p > 1):
             for i in range(p, r):
-                run_panel_span(i, i + 1, False)
+                _in_frame(run_panel_span, i, i + 1, False)
         p = r
 
 
@@ -108,9 +136,9 @@ def run_spans(router, row_block: int, first_block: int, n_tiles: int, run_span,
     """Run a row panel's ``n_tiles`` equal-width tiles, span by span.
 
     Tile ``t`` is block ``(row_block, first_block + t)``.  ``run_span(a, b,
-    quiet)`` runs tiles ``a..b-1``; a quiet span makes no offer, only
-    detects, and returns ``False`` when a check flagged, having changed and
-    recorded nothing.
+    quiet)`` runs tiles ``a..b-1`` in a scratch frame of its own; a quiet
+    span makes no offer, only detects, and returns ``False`` when a check
+    flagged, having changed and recorded nothing.
 
     In a quiet panel span (``quiet``) every tile is clear, so all of them run
     as one quiet span and its verdict is returned for the panel span to act
@@ -122,16 +150,22 @@ def run_spans(router, row_block: int, first_block: int, n_tiles: int, run_span,
     a tile-by-tile loop runs it, and this returns ``True``.
     """
     if quiet:
-        return run_span(0, n_tiles, True)
+        return _in_frame(run_span, 0, n_tiles, True)
     a = 0
     while a < n_tiles:
         blocks = [(row_block, first_block + t) for t in range(a, n_tiles)]
         b = a + max(1, router.quiet_prefix(TILE_SITES, blocks))
-        if not run_span(a, b, b - a > 1):
+        if not _in_frame(run_span, a, b, b - a > 1):
             for t in range(a, b):
-                run_span(t, t + 1, False)
+                _in_frame(run_span, t, t + 1, False)
         a = b
     return True
+
+
+def _in_frame(run, first: int, stop: int, quiet: bool) -> bool:
+    """``run(first, stop, quiet)`` in a scratch frame of its own."""
+    with frame():
+        return run(first, stop, quiet)
 
 
 def forward_stacked(group_kernel, q, k, v, router):

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fp.float16 import FP16Operand, fp16_matmul
+from repro.core.stacked import round_operand
+from repro.fp.float16 import fp16_matmul
 from repro.gemm.checksum import (
     ChecksumVerdict,
     encode_column_checksums,
@@ -20,6 +21,7 @@ from repro.gemm.checksum import (
 )
 from repro.fault.injector import FaultInjector, _BatchFaultRouter
 from repro.fault.models import FaultSite
+from repro.scratch import frame
 
 
 def protected_matmul(
@@ -76,6 +78,7 @@ def protected_matmul_stacked(
     atol: float = 1e-3,
     rtol: float = 0.02,
     mixed_precision: bool = True,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[ChecksumVerdict]]:
     """:func:`protected_matmul` over a stacked ``(trials, m, k)`` batch.
 
@@ -88,9 +91,11 @@ def protected_matmul_stacked(
     a trial axis of one.
 
     With ``mixed_precision`` each operand is rounded to FP16 once
-    (:class:`~repro.fp.float16.FP16Operand`) and read by the product and,
-    through per-trial views, by its two checksum products.  The checksum
-    vectors are encoded from the unrounded operands.
+    (:class:`~repro.fp.float16.FP16Operand`, into scratch for a C-contiguous
+    operand, see :mod:`repro.scratch`) and read by the product and, through
+    per-trial views, by its two checksum products.  The checksum vectors are
+    encoded from the unrounded operands.  The product is written into
+    ``out`` (a C-contiguous float32 ``(trials, m, n)`` array) when given.
     """
     a = np.asarray(a, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32)
@@ -99,31 +104,34 @@ def protected_matmul_stacked(
     if a.shape[-1] != b.shape[-2] or a.shape[0] != b.shape[0]:
         raise ValueError(f"stacked dimensions disagree: {a.shape} @ {b.shape}")
 
-    matmul = fp16_matmul if mixed_precision else lambda x, y: np.matmul(x, y).astype(np.float32)
-    a_op, b_op = (FP16Operand(a), FP16Operand(b)) if mixed_precision else (a, b)
+    with frame():
+        # Both operands are float32, so the plain product is float32 too.
+        matmul = fp16_matmul if mixed_precision else np.matmul
+        a_op, b_op = (round_operand(a), round_operand(b)) if mixed_precision else (a, b)
 
-    c = matmul(a_op, b_op) * np.float32(scale)
-    # The checksum vectors depend on the per-trial operands; encoding and the
-    # (1 x k) / (k x 1) checksum products run per trial on slice views,
-    # before the corrupt offer (they ride alongside the original GEMM).
-    checks = []
-    for t in range(a.shape[0]):
-        ca1, ca2 = encode_column_checksums(a[t])
-        br1, br2 = encode_row_checksums(b[t])
-        checks.append(
-            (
-                matmul(ca1[None, :], b_op[t])[0] * np.float32(scale),
-                matmul(ca2[None, :], b_op[t])[0] * np.float32(scale),
-                matmul(a_op[t], br1[:, None])[:, 0] * np.float32(scale),
-                matmul(a_op[t], br2[:, None])[:, 0] * np.float32(scale),
+        c = matmul(a_op, b_op, out=out)
+        np.multiply(c, np.float32(scale), out=c)
+        # The checksum vectors depend on the per-trial operands; encoding and the
+        # (1 x k) / (k x 1) checksum products run per trial on slice views,
+        # before the corrupt offer (they ride alongside the original GEMM).
+        checks = []
+        for t in range(a.shape[0]):
+            ca1, ca2 = encode_column_checksums(a[t])
+            br1, br2 = encode_row_checksums(b[t])
+            checks.append(
+                (
+                    matmul(ca1[None, :], b_op[t])[0] * np.float32(scale),
+                    matmul(ca2[None, :], b_op[t])[0] * np.float32(scale),
+                    matmul(a_op[t], br1[:, None])[:, 0] * np.float32(scale),
+                    matmul(a_op[t], br2[:, None])[:, 0] * np.float32(scale),
+                )
             )
-        )
 
-    router.corrupt(site, c)
+        router.corrupt(site, c)
 
-    verdicts = []
-    for t, (c_col1, c_col2, c_row1, c_row2) in enumerate(checks):
-        verdict = verify_column_checksums(c[t], c_col1, c_col2, atol=atol, rtol=rtol)
-        verdict.merge(verify_row_checksums(c[t], c_row1, c_row2, atol=atol, rtol=rtol))
-        verdicts.append(verdict)
-    return c, verdicts
+        verdicts = []
+        for t, (c_col1, c_col2, c_row1, c_row2) in enumerate(checks):
+            verdict = verify_column_checksums(c[t], c_col1, c_col2, atol=atol, rtol=rtol)
+            verdict.merge(verify_row_checksums(c[t], c_row1, c_row2, atol=atol, rtol=rtol))
+            verdicts.append(verdict)
+        return c, verdicts

@@ -80,10 +80,18 @@ class TrialCheckpoint:
 
     # ------------------------------------------------------------------ #
     def open(self, header: bool):
-        """Open the append sink (writing the spec header on a fresh file)."""
+        """Open the append sink (writing the spec header on a fresh file).
+
+        A stored header whose ``n_trials`` is below the running spec's (a
+        stopped adaptive point topped up, or a finished run extended) is
+        first rewritten to the running spec, atomically, so the file reads
+        as the partial run it is until :meth:`write_canonical` finishes it.
+        """
         if self.path is None:
             return None
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        if self.path.exists():
+            self._raise_header_count()
         sink = self.path.open("a")
         if sink.tell() == 0:
             if header:
@@ -101,6 +109,19 @@ class TrialCheckpoint:
                 sink.flush()
         self._sink = sink
         return sink
+
+    def _raise_header_count(self) -> None:
+        with self.path.open("rb") as existing:
+            try:
+                stored = json.loads(existing.readline()).get("spec")
+            except (ValueError, AttributeError):
+                return  # no header line: nothing to raise
+            count = stored.get("n_trials") if isinstance(stored, dict) else None
+            if not isinstance(count, int) or count >= self.spec.n_trials:
+                return
+            rest = existing.read()
+        header = _canonical_json({"spec": self.spec.to_dict()}) + "\n"
+        _replace_atomically(self.path, header.encode() + rest)
 
     def append(self, index: int, record: TrialRecord, sink=None) -> None:
         """Checkpoint one finished trial (flushed immediately)."""
@@ -140,11 +161,15 @@ class TrialCheckpoint:
             and self.path.read_bytes() == content
         ):
             return
-        # Atomic replace: a kill during the rewrite must not destroy trial
-        # lines that were already safely checkpointed.
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_bytes(content)
-        os.replace(tmp, self.path)
+        _replace_atomically(self.path, content)
+
+
+def _replace_atomically(path: Path, content: bytes) -> None:
+    """Replace ``path``'s bytes: a kill during the rewrite must not destroy
+    trial lines that were already safely checkpointed."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(content)
+    os.replace(tmp, path)
 
 
 def parse_results_text(text: str) -> tuple[dict | None, dict[int, TrialRecord]]:

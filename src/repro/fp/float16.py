@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.scratch import frame, take
+
 #: Largest finite half-precision value.
 FP16_MAX: float = float(np.finfo(np.float16).max)
 
@@ -49,7 +51,7 @@ def _numpy_quantize(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float16).astype(np.float32)
 
 
-def fp16_quantize(x: np.ndarray | float) -> np.ndarray:
+def fp16_quantize(x: np.ndarray | float, out: np.ndarray | None = None) -> np.ndarray:
     """Round ``x`` through half precision and return it as float32.
 
     This models storing an intermediate result to an FP16 register/shared
@@ -64,30 +66,44 @@ def fp16_quantize(x: np.ndarray | float) -> np.ndarray:
     and clearing them; a carry into the exponent is the correct rounding
     too.  FP16 subnormals and zeros, overflow to infinity, infinities and
     NaNs keep NumPy's cast.
+
+    ``out``, a float32 array of ``x``'s shape that does not overlap it,
+    receives the values and is returned; its memory order is the caller's
+    to match.  The integer route's one temporary, a mask, comes from the
+    scratch arena (:mod:`repro.scratch`).
     """
     if not (
         isinstance(x, np.ndarray)
         and x.dtype == np.float32
         and x.size >= _INTEGER_ROUNDING_MIN_SIZE
     ):
-        return _numpy_quantize(x)
+        if out is None:
+            return _numpy_quantize(x)
+        out[...] = _numpy_quantize(x)
+        return out
     bits = x.view(np.uint32)
-    # Every new array below follows ``x``'s memory order (NumPy's default
-    # order="K"), as the cast does.
-    rounded = np.right_shift(bits, 13)
-    np.bitwise_and(rounded, 1, out=rounded)
-    np.add(rounded, 0x0FFF, out=rounded)
-    np.add(rounded, bits, out=rounded)
-    np.bitwise_and(rounded, np.uint32(0xFFFFE000), out=rounded)
-    # |x| outside the normal range, as one unsigned compare: magnitudes
-    # below the range wrap around past its top.
-    offset = np.bitwise_and(bits, np.uint32(0x7FFFFFFF))
-    np.subtract(offset, _NORMAL_LOW, out=offset)
-    special = np.greater_equal(offset, _NORMAL_HIGH - _NORMAL_LOW)
-    out = rounded.view(np.float32)
-    if special.any():
-        out[special] = _numpy_quantize(x[special])
-    return out
+    # Without ``out`` the result follows ``x``'s memory order (NumPy's
+    # default order="K"), as the cast does.  It holds |x|'s offset into the
+    # normal range until the rounded bits overwrite it.
+    rounded = np.bitwise_and(
+        bits, np.uint32(0x7FFFFFFF), out=None if out is None else out.view(np.uint32)
+    )
+    np.subtract(rounded, _NORMAL_LOW, out=rounded)
+    with frame():
+        # |x| outside the normal range, as one unsigned compare: magnitudes
+        # below the range wrap around past its top.
+        special = np.greater_equal(
+            rounded, _NORMAL_HIGH - _NORMAL_LOW, out=take(x.shape, np.bool_)
+        )
+        np.right_shift(bits, 13, out=rounded)
+        np.bitwise_and(rounded, 1, out=rounded)
+        np.add(rounded, 0x0FFF, out=rounded)
+        np.add(rounded, bits, out=rounded)
+        np.bitwise_and(rounded, np.uint32(0xFFFFE000), out=rounded)
+        values = rounded.view(np.float32)
+        if special.any():
+            values[special] = _numpy_quantize(x[special])
+    return values if out is None else out
 
 
 def machine_epsilon(dtype: np.dtype | type = np.float16) -> float:
@@ -114,7 +130,10 @@ class FP16Operand:
     rounding keeps that order, and the order of each matrix decides which
     BLAS call runs.  Callers that round a floating type wider than float32
     must cast to float32 first when the plain path does, since float64 ->
-    FP16 and float64 -> float32 -> FP16 can differ.
+    FP16 and float64 -> float32 -> FP16 can differ.  ``out`` puts the values
+    in a buffer of the caller's (a C-contiguous one for a C-contiguous
+    ``x``, so the order holds); an operand over a taken scratch buffer
+    (:mod:`repro.scratch`) must not outlive the buffer's frame.
 
     Basic indexing (integers, slices, ``...``, ``None``) returns another
     operand viewing the same values in the same order, for per-trial and
@@ -127,11 +146,11 @@ class FP16Operand:
     #: Make ``array + operand`` and every other ufunc raise ``TypeError``.
     __array_ufunc__ = None
 
-    def __init__(self, x: "np.ndarray | float | FP16Operand"):
+    def __init__(self, x: "np.ndarray | float | FP16Operand", out: np.ndarray | None = None):
         if isinstance(x, FP16Operand):
             values = x._values
         else:
-            values = fp16_quantize(x)
+            values = fp16_quantize(x, out=out)
             values.flags.writeable = False
         object.__setattr__(self, "_values", values)
 
@@ -165,7 +184,7 @@ def _rounded(x) -> np.ndarray:
     return x.values if isinstance(x, FP16Operand) else fp16_quantize(x)
 
 
-def fp16_matmul(a, b) -> np.ndarray:
+def fp16_matmul(a, b, out: np.ndarray | None = None) -> np.ndarray:
     """Multiply ``a @ b`` the way a Tensor Core MMA does.
 
     Operands are quantized to FP16; the multiply-accumulate is carried out in
@@ -181,10 +200,12 @@ def fp16_matmul(a, b) -> np.ndarray:
         be an :class:`FP16Operand`, which is used as already rounded; a plain
         array is rounded here, on every call.  The product is bitwise the
         same either way.
+    out:
+        Optional float32 array of the product's shape to write into.
 
     Returns
     -------
     np.ndarray
         ``a @ b`` with float32 dtype.
     """
-    return np.matmul(_rounded(a), _rounded(b), dtype=np.float32)
+    return np.matmul(_rounded(a), _rounded(b), dtype=np.float32, out=out)

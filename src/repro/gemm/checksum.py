@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.scratch import frame, take
+
 
 @dataclass
 class Correction:
@@ -108,6 +110,26 @@ def _threshold(magnitude: np.ndarray, atol: float, rtol: float) -> np.ndarray:
     return atol + rtol * np.abs(magnitude)
 
 
+def _abs_sum(c: np.ndarray, axis: int) -> np.ndarray:
+    """``np.abs(c).sum(axis, dtype=float64)``, with ``|c|`` in scratch for a C-contiguous ``c``.
+
+    ``|c|`` keeps ``c``'s memory order either way, and with it the order of
+    the sum.
+    """
+    if not c.flags.c_contiguous:
+        return np.abs(c).sum(axis=axis, dtype=np.float64)
+    with frame():
+        return np.abs(c, out=take(c.shape, c.dtype)).sum(axis=axis, dtype=np.float64)
+
+
+def _weighted_sum(c: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """``(weights * c).sum(axis)`` in float64, with the products in scratch as :func:`_abs_sum`."""
+    if not c.flags.c_contiguous:
+        return (weights * c).sum(axis=axis)
+    with frame():
+        return np.multiply(weights, c, out=take(c.shape, np.float64)).sum(axis=axis)
+
+
 def verify_column_checksums(
     c: np.ndarray,
     c_check1: np.ndarray,
@@ -130,12 +152,12 @@ def verify_column_checksums(
     res1 = np.asarray(c_check1, dtype=np.float64) - sum1
     verdict = ChecksumVerdict()
     verdict.max_residual = float(np.max(np.abs(res1))) if res1.size else 0.0
-    magnitude = np.abs(c).sum(axis=0, dtype=np.float64)
+    magnitude = _abs_sum(c, axis=0)
     thresh = _threshold(magnitude, atol, rtol)
     bad_cols = np.nonzero(np.abs(res1) > thresh)[0]
     verdict.detected = int(bad_cols.size)
     if bad_cols.size:
-        sum2 = (np.arange(1, c.shape[0] + 1, dtype=np.float64)[:, None] * c).sum(axis=0)
+        sum2 = _weighted_sum(c, np.arange(1, c.shape[0] + 1, dtype=np.float64)[:, None], axis=0)
         res2 = np.asarray(c_check2, dtype=np.float64) - sum2
     for j in bad_cols:
         if abs(res1[j]) < np.finfo(np.float64).tiny:
@@ -202,12 +224,12 @@ def verify_row_checksums(
     res1 = np.asarray(r_check1, dtype=np.float64) - sum1
     verdict = ChecksumVerdict()
     verdict.max_residual = float(np.max(np.abs(res1))) if res1.size else 0.0
-    magnitude = np.abs(c).sum(axis=1, dtype=np.float64)
+    magnitude = _abs_sum(c, axis=1)
     thresh = _threshold(magnitude, atol, rtol)
     bad_rows = np.nonzero(np.abs(res1) > thresh)[0]
     verdict.detected = int(bad_rows.size)
     if bad_rows.size:
-        sum2 = (c * np.arange(1, c.shape[1] + 1, dtype=np.float64)[None, :]).sum(axis=1)
+        sum2 = _weighted_sum(c, np.arange(1, c.shape[1] + 1, dtype=np.float64)[None, :], axis=1)
         res2 = np.asarray(r_check2, dtype=np.float64) - sum2
     for i in bad_rows:
         if abs(res1[i]) < np.finfo(np.float64).tiny:
@@ -282,8 +304,9 @@ def _strided_weighted_fold(s: np.ndarray, stride: int) -> np.ndarray:
     return sum2
 
 
-#: Float64 elements the strided folds widen at a time (512 KB of scratch).
-#: Widening a whole stacked output at once costs memory in proportion to it.
+#: Float64 elements the strided folds widen at a time (at most 512 KB,
+#: taken from the scratch arena).  Widening a whole stacked output at once
+#: costs memory in proportion to it.
 _FOLD_CHUNK = 1 << 16
 
 
@@ -315,26 +338,27 @@ def _strided_folds(s: np.ndarray, stride: int) -> list[np.ndarray]:
         rows = s.reshape(n_rows, cols)
         group_step = max(1, min(groups, _FOLD_CHUNK // width - 1))
         row_step = max(1, min(n_rows, _FOLD_CHUNK // ((1 + group_step) * width)))
-        scratch = np.empty((1 + group_step) * row_step * width)
-        for r0 in range(0, n_rows, row_step):
-            part = rows[r0 : r0 + row_step]
-            n = part.shape[0]
-            for g0 in range(0, groups, group_step):
-                block = part[:, g0 * stride : (g0 + group_step) * stride]
-                full, rem = divmod(block.shape[1], stride)
-                buf = scratch[: (1 + full + bool(rem)) * n * width].reshape(-1, n, width)
-                buf[1 : 1 + full, :, :stride] = (
-                    block[:, : full * stride].reshape(n, full, stride).transpose(1, 0, 2)
-                )
-                if rem:
-                    buf[-1, :, :rem] = block[:, full * stride :]
-                    buf[-1, :, rem:] = 0.0
-                buf[1:, :, stride:] = 0.0
-                for k, fold in enumerate(folds):
-                    if k:
-                        np.abs(buf[1:], out=buf[1:])
-                    buf[0] = fold[r0 : r0 + n]
-                    np.add.reduce(buf, axis=0, out=fold[r0 : r0 + n])
+        with frame():
+            scratch = take((1 + group_step) * row_step * width, np.float64)
+            for r0 in range(0, n_rows, row_step):
+                part = rows[r0 : r0 + row_step]
+                n = part.shape[0]
+                for g0 in range(0, groups, group_step):
+                    block = part[:, g0 * stride : (g0 + group_step) * stride]
+                    full, rem = divmod(block.shape[1], stride)
+                    buf = scratch[: (1 + full + bool(rem)) * n * width].reshape(-1, n, width)
+                    buf[1 : 1 + full, :, :stride] = (
+                        block[:, : full * stride].reshape(n, full, stride).transpose(1, 0, 2)
+                    )
+                    if rem:
+                        buf[-1, :, :rem] = block[:, full * stride :]
+                        buf[-1, :, rem:] = 0.0
+                    buf[1:, :, stride:] = 0.0
+                    for k, fold in enumerate(folds):
+                        if k:
+                            np.abs(buf[1:], out=buf[1:])
+                        buf[0] = fold[r0 : r0 + n]
+                        np.add.reduce(buf, axis=0, out=fold[r0 : r0 + n])
     return [fold[:, :stride].reshape(lead + (stride,)) for fold in folds]
 
 

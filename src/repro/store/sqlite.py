@@ -126,13 +126,29 @@ class SqlitePointStore(PointStore):
         return records
 
     def open(self, header: bool):
-        """Ensure the point row exists (the run header of a fresh point)."""
+        """Ensure the point row exists (the run header of a fresh point).
+
+        A stored row whose ``n_trials`` is below the running spec's (a
+        stopped adaptive point topped up, or a finished run extended) takes
+        the running spec and loses its complete flag, as
+        :meth:`TrialCheckpoint.open` rewrites the JSONL header: both read the
+        point as partial until :meth:`write_canonical` finishes it.
+        """
+        spec_json = _canonical_json(self.spec.to_dict())
         conn = self.store._connect()
         conn.execute("BEGIN IMMEDIATE")
         conn.execute(
-            "INSERT OR IGNORE INTO points (point, spec) VALUES (?, ?)",
-            (self.index, _canonical_json(self.spec.to_dict())),
+            "INSERT OR IGNORE INTO points (point, spec) VALUES (?, ?)", (self.index, spec_json)
         )
+        (stored,) = conn.execute(
+            "SELECT spec FROM points WHERE point = ?", (self.index,)
+        ).fetchone()
+        count = json.loads(stored).get("n_trials")
+        if isinstance(count, int) and count < self.spec.n_trials:
+            conn.execute(
+                "UPDATE points SET spec = ?, complete = 0 WHERE point = ?",
+                (spec_json, self.index),
+            )
         conn.execute("COMMIT")
         return conn
 

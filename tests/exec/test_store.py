@@ -565,6 +565,77 @@ class TestJsonlReadRules:
         assert f"{second} holds results for a different campaign spec" in captured.err
 
 
+class TestKilledTopUp:
+    """A stopped adaptive point reopened by a tighter run reads the same in both stores."""
+
+    LOOSE = ExperimentSpec.from_dict({
+        "campaign": "abft_error_coverage",
+        "n_trials": 16,
+        "seed": 7,
+        "base_params": {"bit_error_rate": 1e-3, "rows": 32, "cols": 32},
+        "grid": {"scheme": ["tensor", "element"]},
+        "name": "top-up",
+        "adaptive": {"target_ci": 0.45, "batch": 4},
+    })
+    TIGHT = ExperimentSpec.from_dict(
+        dict(LOOSE.to_dict(), adaptive={"target_ci": 0.05, "batch": 4, "max_trials": 64})
+    )
+
+    @staticmethod
+    def _kill_after(n_trials):
+        seen = []
+
+        def listener(event):
+            if event.kind == "trial":
+                seen.append(event)
+                if len(seen) > n_trials:
+                    raise Killed
+
+        return listener
+
+    def _killed_top_up(self, path, store):
+        _run(self.LOOSE, path, store=store)
+        with pytest.raises(Killed):
+            _run(self.TIGHT, path, store=store, progress=self._kill_after(6))
+
+    def test_both_stores_read_a_killed_top_up_as_partial(self, tmp_path, capsys):
+        counts, reports = [], []
+        for store, path in (("jsonl", tmp_path / "sweep"), ("sqlite", tmp_path / "sweep.db")):
+            self._killed_top_up(path, store)
+            view = open_store(path).load_view()
+            assert not view.complete
+            assert [p.spec.n_trials for p in view.points] == [64, 64]
+            counts.append([p.n_done for p in view.points])
+            assert cli_main(["query", str(path), "--count"]) == 0
+            assert capsys.readouterr().out.strip() == str(sum(counts[-1]))
+            assert cli_main(["report", str(path)]) == 1
+            reports.append(capsys.readouterr().out)
+        assert counts[0] == counts[1]
+        assert sum(counts[0]) == 4 + 4 + 7
+        assert reports[0] == reports[1]
+        assert "partial run: 15/128 trials" in reports[0]
+
+    @pytest.mark.parametrize("store", BACKENDS)
+    def test_resumed_top_up_ends_as_an_uninterrupted_one(self, tmp_path, store):
+        suffix = ".db" if store == "sqlite" else ""
+        killed, clean = tmp_path / f"killed{suffix}", tmp_path / f"clean{suffix}"
+        self._killed_top_up(killed, store)
+        _run(self.TIGHT, killed, store=store)
+        _run(self.LOOSE, clean, store=store)
+        _run(self.TIGHT, clean, store=store)
+        if store == "jsonl":
+            names = sorted(p.name for p in clean.iterdir())
+            assert sorted(p.name for p in killed.iterdir()) == names
+            for name in names:
+                assert (killed / name).read_bytes() == (clean / name).read_bytes(), name
+        else:
+            stores = [open_store(killed), open_store(clean)]
+            assert stores[0].load_view() == stores[1].load_view()
+            for index in range(2):
+                exports = [s.export_canonical(index) for s in stores]
+                assert exports[0] == exports[1]
+
+
 # --------------------------------------------------------------------------- #
 # Conversion
 # --------------------------------------------------------------------------- #

@@ -323,7 +323,9 @@ class TestRoundOnce:
         rounded = []
         real = float16.fp16_quantize
         monkeypatch.setattr(
-            float16, "fp16_quantize", lambda x: rounded.append(x) or real(x)
+            float16,
+            "fp16_quantize",
+            lambda x, *args, **kwargs: rounded.append(x) or real(x, *args, **kwargs),
         )
         self._run(self.PARAMS)
         self._run(self.PARAMS)

@@ -1,10 +1,12 @@
 """Tests for the FP16 mixed-precision helpers."""
 
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro import scratch
 from repro.fp import float16
 from repro.fp.float16 import (
     FP16_MAX,
@@ -270,6 +272,16 @@ class TestIntegerRounding:
         for view in views:
             assert view.size >= float16._INTEGER_ROUNDING_MIN_SIZE
             _assert_same_rounding(view)
+
+    @pytest.mark.parametrize("in_frame", [False, True], ids=["fresh-out", "taken-out"])
+    def test_out_receives_the_same_bits(self, in_frame):
+        patterns = _boundary_patterns().view(np.float32)
+        for x in (patterns, np.resize(patterns, 4 * float16._INTEGER_ROUNDING_MIN_SIZE)):
+            with scratch.frame() if in_frame else nullcontext():
+                out = scratch.take(x.shape)
+                got = fp16_quantize(x, out=out)
+                assert got is out
+                assert np.array_equal(_bits(got), _bits(_numpy_cast(x)))
 
     def test_other_dtypes_and_scalars_take_the_cast(self):
         x = np.random.default_rng(3).standard_normal(5000)
