@@ -95,7 +95,7 @@ class TrialCheckpoint:
         sink = self.path.open("a")
         if sink.tell() == 0:
             if header:
-                sink.write(_canonical_json({"spec": self.spec.to_dict()}) + "\n")
+                sink.write(_header_line(self.spec.to_dict()))
                 sink.flush()
         else:
             # A kill mid-write can leave a torn final line without a newline;
@@ -120,15 +120,15 @@ class TrialCheckpoint:
             if not isinstance(count, int) or count >= self.spec.n_trials:
                 return
             rest = existing.read()
-        header = _canonical_json({"spec": self.spec.to_dict()}) + "\n"
-        _replace_atomically(self.path, header.encode() + rest)
+        header = _header_line(self.spec.to_dict()).encode()
+        _replace_atomically(self.path, header + rest)
 
     def append(self, index: int, record: TrialRecord, sink=None) -> None:
         """Checkpoint one finished trial (flushed immediately)."""
         sink = sink if sink is not None else self._sink
         if sink is None:
             return
-        sink.write(_canonical_json({"trial": index, "record": record}) + "\n")
+        sink.write(_trial_line(index, record))
         sink.flush()
 
     def close(self) -> None:
@@ -149,12 +149,7 @@ class TrialCheckpoint:
             return
         header_spec = self.spec.to_dict()
         header_spec["n_trials"] = len(ordered)
-        lines = [_canonical_json({"spec": header_spec})]
-        lines += [
-            _canonical_json({"trial": i, "record": record})
-            for i, record in enumerate(ordered)
-        ]
-        content = ("\n".join(lines) + "\n").encode()
+        content = canonical_record_bytes(header_spec, dict(enumerate(ordered)))
         if (
             self.path.exists()
             and self.path.stat().st_size == len(content)
@@ -170,6 +165,30 @@ def _replace_atomically(path: Path, content: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(content)
     os.replace(tmp, path)
+
+
+def _header_line(spec_dict: dict) -> str:
+    return _canonical_json({"spec": spec_dict}) + "\n"
+
+
+def _trial_line(index: int, record: TrialRecord) -> str:
+    return _canonical_json({"trial": index, "record": record}) + "\n"
+
+
+def canonical_record_bytes(spec_dict: dict, records: dict[int, TrialRecord]) -> bytes:
+    """Checkpoint-JSONL bytes of one point: header + trial-sorted records.
+
+    The encoder of the format :func:`parse_results_text` decodes.
+    ``spec_dict`` is emitted verbatim as the header -- callers pass the
+    stored run header, whose ``n_trials`` already reflects the point's truth
+    (the adaptive stop count once complete, the running cap while
+    in-flight).  Every store's canonical export and
+    :meth:`TrialCheckpoint.write_canonical` go through it, so they agree
+    byte-for-byte, which is what the cross-backend parity checks compare.
+    """
+    lines = [_header_line(spec_dict)]
+    lines += [_trial_line(i, records[i]) for i in sorted(records)]
+    return "".join(lines).encode()
 
 
 def parse_results_text(text: str) -> tuple[dict | None, dict[int, TrialRecord]]:

@@ -81,6 +81,13 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if value <= 0:
@@ -361,6 +368,8 @@ def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             print(campaign.to_json())
         return 0
     spec = _apply_adaptive_flags(parser, spec, args)
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
     if args.store is not None and args.store not in available_stores():
         parser.error(
             f"unknown --store {args.store!r}; registered: {available_stores()}"
@@ -429,12 +438,6 @@ def cmd_worker(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     except (ConnectionError, OSError) as exc:
         print(f"error: cannot reach coordinator at {args.connect}: {exc}", file=sys.stderr)
         return 1
-
-
-def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    from repro.bench.harness import main as bench_main
-
-    return bench_main(args.bench_args)
 
 
 def cmd_list_campaigns(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -911,17 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     describe.set_defaults(handler=cmd_faultload_describe)
 
-    bench = commands.add_parser(
-        "bench",
-        help="measure trials/sec per kernel (scalar vs batched) into BENCH_<n>.json",
-    )
-    bench.add_argument(
-        "bench_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to the harness (see `repro bench --help`)",
-    )
-    bench.set_defaults(handler=cmd_bench)
-
     report = commands.add_parser(
         "report", help="re-render finished results without re-running"
     )
@@ -968,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--limit",
-        type=int,
+        type=_nonnegative_int,
         default=None,
         metavar="N",
         help="stop after N matching records",
@@ -1064,13 +1056,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["bench"]:
-        # Forwarded wholesale: the harness owns its argparse surface, and
-        # argparse.REMAINDER mis-parses a leading option (e.g. `bench --smoke`).
-        from repro.bench.harness import main as bench_main
-
-        return bench_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.handler(parser, args)

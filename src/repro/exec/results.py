@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
-from repro.exec.checkpoint import TrialRecord, parse_results_text
+from repro.exec.checkpoint import TrialRecord, canonical_record_bytes, parse_results_text
 from repro.exec.spec import ExperimentSpec
 from repro.fault.runner import _canonical_json, _resume_key, get_campaign
 
@@ -137,11 +137,7 @@ class TrialRecordSet:
     # ------------------------------------------------------------------ #
     def to_jsonl(self) -> str:
         """Canonical JSONL text (the checkpoint format, trial-sorted)."""
-        lines = [_canonical_json({"spec": self.spec.to_dict()})]
-        lines += [
-            _canonical_json({"trial": i, "record": record}) for i, record in self
-        ]
-        return "\n".join(lines) + "\n"
+        return canonical_record_bytes(self.spec.to_dict(), self.records).decode()
 
     @classmethod
     def from_jsonl(cls, text: str, spec: ExperimentSpec | None = None) -> "TrialRecordSet":

@@ -13,7 +13,9 @@ that kernel at a trial axis of one).  Each trial keeps its own
 that trial's slice of the stacked intermediates.
 
 ``transformer_inference`` is the campaign whose batch kernel pays for its
-code (3.8-5.9x over per-trial forwards in ``BENCH_2.json``).
+code: at the default batch it runs 5.2-7.5x the per-trial path at hidden 16,
+seq 8, and the slow ``TestBatchedThroughputFloors`` in
+``tests/fault/test_batched.py`` fails below 1.5x.
 :mod:`repro.fault.campaign` attaches :func:`_transformer_inference_batch` to
 the registry right after the scalar kernel, so importing this module
 registers nothing and works in any order.

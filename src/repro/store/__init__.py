@@ -18,6 +18,7 @@ which backend wrote it; ``repro store convert`` migrates between them.
 Third-party backends register with :func:`register_store`.
 """
 
+from repro.exec.checkpoint import canonical_record_bytes
 from repro.store.base import (
     DEFAULT_STORE,
     MANIFEST_NAME,
@@ -37,7 +38,7 @@ from repro.store.base import (
     sniff_store,
 )
 from repro.store.convert import convert_store, default_convert_path
-from repro.store.jsonl import JsonlStore, canonical_record_bytes
+from repro.store.jsonl import JsonlStore
 from repro.store.query import QueryFilter, count_query, query_records
 from repro.store.sqlite import SqlitePointStore, SqliteStore
 

@@ -23,6 +23,7 @@ from repro.exec.checkpoint import (
     TrialCheckpoint,
     TrialRecord,
     campaign_results_path,
+    canonical_record_bytes,
     parse_results_text,
 )
 from repro.exec.results import TrialRecordSet
@@ -38,23 +39,6 @@ from repro.store.base import (
     read_manifest,
     register_store,
 )
-
-
-def canonical_record_bytes(spec_dict: dict, records: dict[int, TrialRecord]) -> bytes:
-    """Checkpoint-JSONL bytes of one point: header + trial-sorted records.
-
-    ``spec_dict`` is emitted verbatim as the header -- callers pass the
-    stored run header, whose ``n_trials`` already reflects the point's truth
-    (the adaptive stop count once complete, the running cap while
-    in-flight).  For a complete point this reproduces
-    :meth:`TrialCheckpoint.write_canonical` byte-for-byte, which is what the
-    cross-backend parity checks compare.
-    """
-    lines = [_canonical_json({"spec": spec_dict})]
-    lines += [
-        _canonical_json({"trial": i, "record": records[i]}) for i in sorted(records)
-    ]
-    return ("\n".join(lines) + "\n").encode()
 
 
 @register_store("jsonl")

@@ -20,6 +20,7 @@ so they are exactly what streams back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from repro.exec.checkpoint import TrialRecord
@@ -78,15 +79,14 @@ def select_points(store: ResultsStore, flt: QueryFilter) -> list[int]:
 def query_records(
     store: ResultsStore, flt: QueryFilter, limit: int | None = None
 ) -> Iterator[tuple[int, int, TrialRecord]]:
-    """Stream the matching ``(point, trial, record)`` triples, bounded memory."""
-    emitted = 0
-    for point, trial, record in store.iter_records(select_points(store, flt)):
-        if not flt.match_record(record):
-            continue
-        yield point, trial, record
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            return
+    """Stream the first ``limit`` (all if None) matching ``(point, trial,
+    record)`` triples, bounded memory."""
+    matches = (
+        (point, trial, record)
+        for point, trial, record in store.iter_records(select_points(store, flt))
+        if flt.match_record(record)
+    )
+    yield from islice(matches, limit)
 
 
 def count_query(store: ResultsStore, flt: QueryFilter) -> int:

@@ -42,7 +42,7 @@ import sqlite3
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.exec.checkpoint import TrialRecord
+from repro.exec.checkpoint import TrialRecord, canonical_record_bytes
 from repro.exec.results import TrialRecordSet
 from repro.exec.spec import ExperimentSpec
 from repro.fault.runner import _canonical_json, _resume_key
@@ -54,7 +54,6 @@ from repro.store.base import (
     experiment_resume_key,
     register_store,
 )
-from repro.store.jsonl import canonical_record_bytes
 
 SCHEMA_VERSION = 1
 

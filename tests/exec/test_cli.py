@@ -109,6 +109,20 @@ class TestRun:
         for path in sorted(serial_dir.iterdir()):
             assert (other_dir / path.name).read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("executor", ["serial", "process", "distributed"])
+    def test_workers_below_one_is_a_usage_error(
+        self, campaign_file, tmp_path, executor, capsys
+    ):
+        results = tmp_path / "out.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["run", str(campaign_file), "--executor", executor,
+                 "--workers", "0", "--results", str(results)]
+            )
+        assert exc.value.code == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not results.exists()
+
     def test_missing_spec_file_errors(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["run", str(tmp_path / "nope.json")])
@@ -628,25 +642,6 @@ class TestTrialBatchFlag:
         assert batched.read_bytes() == scalar.read_bytes()
 
 
-class TestBenchSubcommand:
-    def test_bench_validate_forwarded(self, tmp_path, capsys):
-        import json
-
-        from repro.bench.harness import BENCH_SCHEMA_VERSION
-
-        bad = tmp_path / "BENCH_0.json"
-        bad.write_text(json.dumps({"schema_version": BENCH_SCHEMA_VERSION}))
-        assert main(["bench", "--validate", str(bad)]) == 1
-        assert "missing or mistyped" in capsys.readouterr().err
-
-    def test_bench_leading_option_reaches_harness(self, capsys):
-        # argparse.REMAINDER would choke on a leading `--smoke`; main()
-        # forwards the raw argv to the harness instead.
-        with pytest.raises(SystemExit):
-            main(["bench", "--help"])
-        assert "BENCH_<n>.json" in capsys.readouterr().out
-
-
 class TestStoreCli:
     """The `--store` flag, the `query` verb and `store convert`."""
 
@@ -702,6 +697,26 @@ class TestStoreCli:
         lines = captured.out.strip().splitlines()
         assert len(lines) == 2 and all(line.startswith("point=0 ") for line in lines)
         assert "query: 2 matching record(s) (stopped at --limit 2)" in captured.err
+
+    def test_query_limit_zero_prints_no_record(self, sweep_file, tmp_path, capsys):
+        results = tmp_path / "out"
+        main(["run", str(sweep_file), "--results", str(results)])
+        capsys.readouterr()
+        assert main(["query", str(results), "--limit", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "query: 0 matching record(s)" in captured.err
+
+    def test_query_negative_limit_is_a_usage_error(self, sweep_file, tmp_path, capsys):
+        results = tmp_path / "out"
+        main(["run", str(sweep_file), "--results", str(results)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["query", str(results), "--limit", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --limit: -1 is negative" in captured.err
 
     def test_query_jsonl_output_is_canonical(self, sweep_file, tmp_path, capsys):
         import json as json_module

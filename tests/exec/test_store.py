@@ -502,6 +502,7 @@ class TestQuery:
             rows = list(query_records(store, QueryFilter(scheme="element"), limit=3))
             assert len(rows) == 3
             assert all(point == 1 for point, _, _ in rows)
+            assert list(query_records(store, QueryFilter(), limit=0)) == []
         finally:
             store.close()
 

@@ -4,7 +4,8 @@ The batched execution path (``REPRO_TRIAL_BATCH > 1``) must produce JSONL
 checkpoints byte-identical to the per-trial path for every campaign that
 registers a batch kernel, on every backend, at every batch size -- the
 batching is purely an execution-speed optimisation, never a numerics
-trade-off.
+trade-off.  The slow :class:`TestBatchedThroughputFloors` checks that it
+pays: each campaign's batched path must beat its per-trial path by a floor.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.exec.engine import ExperimentRunner
+from repro.exec.engine import ExperimentRunner, run_experiment
 from repro.exec.spec import ExperimentSpec
 from repro.fault.runner import (
     DEFAULT_TRIAL_BATCH,
@@ -48,6 +50,24 @@ CASES = {
     "transformer_inference": (8, {"scheme": "none", "hidden_dim": 16, "seq_len": 8}),
 }
 
+#: Throughput floors of the batched path at the default batch over the
+#: per-trial path, per ``campaign/case``: (n_trials, params, floor).  The
+#: workloads are small, where per-trial call overhead dominates and batching
+#: pays most.  The floors are loose because CI runners are noisy shared
+#: machines: the transformer floor catches a batch kernel fallen back to
+#: per-trial speed, and the abft floor is a pathology backstop.
+FLOORS = {
+    "transformer_inference/none": (
+        64, {"scheme": "none", "hidden_dim": 16, "seq_len": 8}, 1.5
+    ),
+    "transformer_inference/efta_unified": (
+        64, {"scheme": "efta_unified", "hidden_dim": 16, "seq_len": 8}, 1.5
+    ),
+    "abft_error_coverage/tensor": (
+        32, {"bit_error_rate": 1e-7, "rows": 32, "cols": 32, "depth": 16}, 0.7
+    ),
+}
+
 #: The coverage kernel on a ragged shape: 37 columns leave stride classes of
 #: five and four columns.  At this rate the 64 trials at seed 11 flip values to
 #: NaN or inf and leave located errors uncorrectable, in both schemes.
@@ -71,9 +91,9 @@ def _run_bytes(monkeypatch, tmp_path, campaign, batch, n_trials, params, *, seed
 class TestByteParityAllCampaigns:
     def test_every_registered_campaign_has_a_case(self):
         # A built-in campaign that registers a batch kernel must be added to
-        # CASES so it gets parity coverage.  Test-local campaigns (other
-        # modules register throwaway kernels) are exempt: only kernels
-        # defined inside repro count.
+        # CASES so it gets parity coverage, and to FLOORS so its speed is
+        # checked.  Test-local campaigns (other modules register throwaway
+        # kernels) are exempt: only kernels defined inside repro count.
         builtin = sorted(
             name
             for name in available_campaigns()
@@ -81,6 +101,7 @@ class TestByteParityAllCampaigns:
             and get_campaign(name).batch is not None
         )
         assert sorted(CASES) == builtin
+        assert sorted({case.split("/")[0] for case in FLOORS}) == builtin
 
     @pytest.mark.parametrize("campaign", sorted(CASES))
     @pytest.mark.parametrize("batch", [3, 7, 16])
@@ -515,3 +536,36 @@ class TestTrialBatchSize:
         monkeypatch.setenv(TRIAL_BATCH_ENV, bad)
         with pytest.raises(ValueError, match=TRIAL_BATCH_ENV):
             trial_batch_size()
+
+
+def _best_seconds(spec: ExperimentSpec) -> float:
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        run_experiment(spec)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.slow
+class TestBatchedThroughputFloors:
+    """Batched at the default batch vs per trial, serial, best of three runs."""
+
+    @pytest.mark.parametrize("case", sorted(FLOORS))
+    def test_batched_beats_per_trial(self, case, monkeypatch):
+        n_trials, params, floor = FLOORS[case]
+        campaign = case.split("/")[0]
+        spec = ExperimentSpec(campaign=campaign, n_trials=n_trials, params=params)
+        monkeypatch.delenv(TRIAL_BATCH_ENV, raising=False)
+        # An untimed run fills the fixture caches and BLAS thread pools, so
+        # neither timed path pays first-use costs.
+        run_experiment(spec)
+        monkeypatch.setenv(TRIAL_BATCH_ENV, "1")
+        per_trial = _best_seconds(spec)
+        monkeypatch.delenv(TRIAL_BATCH_ENV)
+        batched = _best_seconds(spec)
+        speedup = per_trial / batched
+        assert speedup >= floor, (
+            f"{case}: batched {batched:.3f} s vs per-trial {per_trial:.3f} s "
+            f"is {speedup:.2f}x, below the {floor}x floor"
+        )
