@@ -109,15 +109,16 @@ class TestRun:
         for path in sorted(serial_dir.iterdir()):
             assert (other_dir / path.name).read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
     @pytest.mark.parametrize("executor", ["serial", "process", "distributed"])
     def test_workers_below_one_is_a_usage_error(
-        self, campaign_file, tmp_path, executor, capsys
+        self, campaign_file, tmp_path, executor, workers, capsys
     ):
         results = tmp_path / "out.jsonl"
         with pytest.raises(SystemExit) as exc:
             main(
                 ["run", str(campaign_file), "--executor", executor,
-                 "--workers", "0", "--results", str(results)]
+                 "--workers", workers, "--results", str(results)]
             )
         assert exc.value.code == 2
         assert "--workers must be >= 1" in capsys.readouterr().err

@@ -10,6 +10,7 @@ conversion.
 from __future__ import annotations
 
 import json
+import math
 import sqlite3
 import subprocess
 import sys
@@ -17,11 +18,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec.checkpoint import campaign_results_path
+from repro.exec.checkpoint import campaign_results_path, parse_results_text
 from repro.exec.cli import main as cli_main
 from repro.exec.engine import run_experiment
 from repro.exec.executors import SerialExecutor
 from repro.exec.spec import ExperimentSpec
+from repro.fault.runner import available_campaigns, get_campaign
 from repro.store import (
     DEFAULT_STORE,
     JsonlStore,
@@ -31,6 +33,7 @@ from repro.store import (
     SqliteStore,
     available_stores,
     build_store,
+    canonical_record_bytes,
     convert_store,
     count_query,
     default_convert_path,
@@ -61,6 +64,8 @@ CAMPAIGN = ExperimentSpec(
 )
 
 BACKENDS = ["jsonl", "sqlite"]
+
+COMPAT = Path(__file__).resolve().parents[1] / "fixtures" / "compat"
 
 
 def _run(spec, path, store=None, **kwargs):
@@ -217,6 +222,64 @@ class TestByteParity:
             assert store.export_canonical(0) == jsonl_file.read_bytes()
         finally:
             store.close()
+
+
+#: A cheap spec of every built-in campaign: (n_trials, params).
+CAMPAIGNS = {
+    "abft_detection_sweep": (3, {"thresholds": [0.01, 0.3], "rows": 32, "cols": 32}),
+    "abft_error_coverage": (3, {"bit_error_rate": 1e-6, "rows": 32, "cols": 32, "depth": 16}),
+    "attention_cost": (1, {"scheme": "efta_unified"}),
+    "efta_site_resilience": (3, {"site": "gemm_qk", "seq_len": 32, "head_dim": 16}),
+    "restriction_error_distribution": (3, {}),
+    "snvr_detection_sweep": (3, {"thresholds": [1e-4, 0.5]}),
+    "transformer_cost": (1, {"scheme": "efta_unified"}),
+    "transformer_inference": (3, {"hidden_dim": 16, "seq_len": 8}),
+}
+
+
+def _reencoded(data: bytes) -> bytes:
+    return canonical_record_bytes(*parse_results_text(data.decode()))
+
+
+class TestOneEncoder:
+    """Every writer, and every file an older release wrote, spells the
+    checkpoint line format as the one encoder, ``canonical_record_bytes``."""
+
+    def test_every_builtin_campaign_has_a_spec(self):
+        kernels = {n: get_campaign(n).trial.__module__ for n in available_campaigns()}
+        assert sorted(CAMPAIGNS) == sorted(n for n, m in kernels.items() if m.startswith("repro."))
+
+    @pytest.mark.parametrize("name", [
+        "campaign.jsonl", "replay.jsonl", "sweep/000-compat-sweep_scheme=tensor.jsonl",
+        "sweep/001-compat-sweep_scheme=element.jsonl",
+    ])
+    def test_encoder_reproduces_older_release_bytes(self, name):
+        data = (COMPAT / name).read_bytes()
+        assert _reencoded(data) == data
+
+    @pytest.mark.parametrize("campaign", sorted(CAMPAIGNS))
+    def test_every_writer_agrees_with_the_encoder(self, campaign, tmp_path):
+        n_trials, params = CAMPAIGNS[campaign]
+        spec = ExperimentSpec(campaign=campaign, n_trials=n_trials, seed=5, params=params)
+        path, db = tmp_path / "out.jsonl", tmp_path / "out.db"
+        result = _run(spec, path)
+        _run(spec, db, store="sqlite")
+        data = path.read_bytes()
+        assert _reencoded(data) == data
+        assert result.points[0].records.to_jsonl().encode() == data
+        for store in (open_store(path), open_store(db)):
+            assert store.export_canonical(0) == data
+            store.close()
+
+    @pytest.mark.parametrize("record", [
+        {"nested": {"z": [1, {"b": 2, "a": 1}], "a": None}, "flag": False},
+        {"text": "d\u00e9j\u00e0 vu \u2713", "empty": ""},
+        {"tiny": 1e-300, "third": 0.1, "neg_zero": -0.0, "count": 2**63 + 1},
+        {"nan": math.nan, "inf": math.inf, "ninf": -math.inf},
+    ], ids=["nested", "unicode", "numbers", "non-finite"])
+    def test_decoded_records_reencode_to_the_same_bytes(self, record):
+        data = canonical_record_bytes({"campaign": "x"}, {0: record, 1: record})
+        assert _reencoded(data) == data
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -503,6 +566,16 @@ class TestQuery:
             assert len(rows) == 3
             assert all(point == 1 for point, _, _ in rows)
             assert list(query_records(store, QueryFilter(), limit=0)) == []
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("limit", [0, 1, 8, 9, None])
+    def test_limit_takes_the_first_matches(self, tmp_path, backend, limit):
+        store = self._finished(tmp_path, backend)
+        try:
+            everything = list(query_records(store, QueryFilter()))
+            assert len(everything) == 8
+            assert list(query_records(store, QueryFilter(), limit=limit)) == everything[:limit]
         finally:
             store.close()
 
