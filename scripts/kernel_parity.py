@@ -34,8 +34,9 @@ compared bit for bit:
   trials carry zero, one or several faults: a transient (``seu``) and a
   persistent (``stuck_at_1``) fault model, a GELU (GPT2) and a ReLU
   (T5-Small) model, schemes none, efta_unified and decoupled, each on the
-  linear site alone (scheme none's fast path) and on a linear/attention
-  site list.
+  linear site alone and on a linear/attention site list.  Scheme none at
+  the linear site alone runs its attention kernel with no trial armed at
+  an attention site, so its quiet spans make no offer.
 * ``campaign-abft-coverage`` -- the same for the ``abft_error_coverage``
   campaign on a ragged 30 x 37 x 12 block (scheme tensor and element x bit
   error rate 1e-7 and 1e-5, 200 trials each), run on the ``process`` executor

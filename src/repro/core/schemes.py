@@ -205,20 +205,18 @@ def build_scheme(
 class UnprotectedAttention(ProtectionScheme):
     """Unprotected flash-style attention: the performance baseline.
 
-    The fault-free numerics are bit-identical to
-    :func:`repro.attention.flash.flash_attention` with ``mixed_precision=True``
-    (FP16 score GEMM, FP32 accumulation).  The loop additionally offers every
+    The repository's one flash-attention kernel (Equations 1-7): FP16 score
+    GEMM, FP32 softmax and accumulation.  The loop additionally offers every
     intermediate to the injector at the same sites as EFTA, so injected faults
     propagate to the output *undetected* -- the silent-data-corruption
     reference the coverage campaigns compare protected schemes against.
 
     The recurrence is spelled out here (like EFTA's own kernel) because the
-    injector must see each intermediate between the fused update's steps;
-    bit-identity with
-    ``flash_attention`` is pinned by
-    ``tests/core/test_schemes.py::TestParityWithHardwiredClasses``.  Like
-    EFTA, it stacks each row panel's tiles: one GEMM I per panel, the rest
-    of the tile body once per span of tiles no fault can reach
+    injector must see each intermediate between the fused update's steps.
+    Its fault-free output is pinned bit for bit to the scalar oracle
+    ``tests/attention/flash_oracle.py::flash_single``.  Like EFTA, it stacks
+    each row panel's tiles: one GEMM I per panel, the rest of the tile body
+    once per span of tiles no fault can reach
     (:func:`repro.core.stacked.run_spans`).  With nothing to verify, its
     spans never re-run.
     """
@@ -328,8 +326,8 @@ def _unprotected_span(router, i, first, scores, v_r, panel, a, b, quiet) -> bool
     rescale = np.exp(maxes[:, :-1] - new_max)
     rescale = np.where(np.isfinite(rescale), rescale, np.float32(0.0))
     tile_sums = probs.sum(axis=-1, dtype=np.float32)
-    # FP32 value accumulation, matching flash_attention (only the score
-    # GEMM is FP16).
+    # FP32 value accumulation, as in the flash oracle (only the score GEMM
+    # is FP16).
     p, v = split_panels(probs, panel.n_panels), v_r[:, :, a:b]
     pv = merge_panels(np.matmul(p, v, out=take_product(p, v)))
     row_sum, acc = panel.row_sum, panel.acc

@@ -21,8 +21,9 @@ Tables 1-2):
   shard ``merge``.
 * :func:`run_experiment` / :class:`ExperimentRunner` -- the one runner, tying
   spec, results store, executor and aggregation together.
-* ``python -m repro run|sweep|list-campaigns|report`` -- the umbrella CLI
-  (:mod:`repro.exec.cli`).
+* ``python -m repro run|worker|list-campaigns|list-fault-models|faultload|
+  report|pareto|query|store`` -- the umbrella CLI (:mod:`repro.exec.cli`);
+  ``run`` takes campaign and sweep specs alike.
 
 Importing the package also registers the deterministic roofline-cost kernels
 (:mod:`repro.exec.costing`) used by the table/figure benchmarks.

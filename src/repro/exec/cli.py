@@ -14,7 +14,7 @@
     python -m repro report PATH [PATH ...]
     python -m repro pareto PATH [--metric detection_rate] [--cost attention_cost]
     python -m repro query PATH [--campaign S] [--scheme S] [--detected true]
-                               [--count | --limit N] [--jsonl]
+                               [--count | [--limit N] [--jsonl]]
     python -m repro store convert PATH --to sqlite|jsonl [--out PATH]
 
 ``run`` auto-detects campaign vs. sweep specs (a ``grid`` key marks a sweep)
@@ -708,6 +708,8 @@ def cmd_query(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from repro.fault.runner import _canonical_json
     from repro.store import QueryFilter, count_query, query_records
 
+    if args.count and (args.limit is not None or args.jsonl):
+        parser.error("query: --count takes neither --limit nor --jsonl")
     path = Path(args.results)
     if not path.exists():
         parser.error(f"results path {args.results} does not exist")
@@ -968,7 +970,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--count",
         action="store_true",
-        help="print the matching record count only (indexed on sqlite)",
+        help="print the matching record count only (indexed on sqlite); "
+        "takes neither --limit nor --jsonl",
     )
     query.add_argument(
         "--jsonl",

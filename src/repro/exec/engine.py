@@ -99,15 +99,22 @@ class ExperimentRunner:
         faultload_path = self.spec.faultload or self.spec.params.get("faultload")
         if faultload_path:
             # Fail fast -- before any worker pool spins up -- on a missing,
-            # malformed or too-short artifact; every trial index the run will
-            # ask for must already be materialized.
+            # malformed or too-short artifact; every trial index the run may
+            # ask for, up to an adaptive run's cap, must already be
+            # materialized.
             from repro.fault.dictionary import load_faultload
 
             faultload = load_faultload(faultload_path)
-            if faultload.n_trials < self.spec.n_trials:
+            adaptive = self.spec.adaptive
+            needed = (
+                adaptive.resolve_max_trials(self.spec.n_trials)
+                if adaptive is not None
+                else self.spec.n_trials
+            )
+            if faultload.n_trials < needed:
                 raise ValueError(
                     f"faultload {faultload_path} holds {faultload.n_trials} "
-                    f"trials but the experiment runs {self.spec.n_trials}"
+                    f"trials but the experiment can run {needed}"
                 )
 
     # ------------------------------------------------------------------ #

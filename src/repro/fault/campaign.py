@@ -592,11 +592,12 @@ class _TransformerFixture(NamedTuple):
     clean_logits: np.ndarray
     #: ``corrupt`` offers per fault site in one probed forward.
     site_counts: dict
-    #: The fault-free activation inputs and outputs of each block, keyed by
-    #: batched forward path (``True`` for the unprotected flash path);
-    #: :mod:`repro.fault.batched` fills it on first use.  It lives here so
-    #: that it is evicted, and rebuilt, with its model.
-    gelu_traces: dict
+    #: The fault-free activation input and output of each block, one
+    #: ``(input, output)`` pair per block (the golden GELU trace);
+    #: :mod:`repro.fault.batched` fills it on first use, and it stays empty
+    #: for ReLU models.  It lives here so that it is evicted, and rebuilt,
+    #: with its model.
+    gelu_trace: list
     #: Each linear layer's weight and two checksum columns rounded to FP16
     #: (:class:`~repro.fp.float16.FP16Operand`), keyed by layer; filled by
     #: :mod:`repro.fault.batched` on first use and evicted with the model.
@@ -680,7 +681,7 @@ def _transformer_fixture(params: dict) -> _TransformerFixture:
         # `limit` distinct workloads per worker rebuild the model and the
         # clean-logit oracle on nearly every trial.
         _TRANSFORMER_FIXTURES.pop(next(iter(_TRANSFORMER_FIXTURES)))
-    fixture = _TransformerFixture(model, ids, clean_logits, dict(probe.counts), {}, {})
+    fixture = _TransformerFixture(model, ids, clean_logits, dict(probe.counts), [], {})
     _TRANSFORMER_FIXTURES[key] = fixture
     return fixture
 

@@ -2,10 +2,11 @@
 
 :func:`flash_single` runs the online-softmax recurrence of Equations 1-7
 through :class:`OnlineSoftmaxState`, one row block and one column block at
-a time, with the float32 operations in the order
-:func:`repro.attention.flash.flash_attention` performs them over all of its
-(batch, head) groups at once.  The kernels never use it; the tests compare
-the stacked path against it bit for bit.
+a time.  It is the reference of scheme ``"none"``'s kernel
+(:class:`repro.core.schemes.UnprotectedAttention`), which runs the same
+float32 operations over row panels, tile spans and a trial axis at once:
+the score GEMM with FP16 operands, the softmax and ``P V`` in float32.  The
+kernels never use it; the tests compare the kernel against it bit for bit.
 """
 
 from __future__ import annotations
@@ -90,12 +91,7 @@ class OnlineSoftmaxState:
 
 
 def flash_single(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    scale: float,
-    block_size: int,
-    mixed_precision: bool,
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float, block_size: int
 ) -> np.ndarray:
     """Flash attention of one ``(seq_len, head_dim)`` slice through the oracle state."""
     seq_len, head_dim = q.shape
@@ -104,12 +100,7 @@ def flash_single(
         q_i = q[row_blk]
         state = OnlineSoftmaxState.initial(q_i.shape[0], head_dim)
         for col_blk in partition_blocks(k.shape[0], block_size):
-            k_j = k[col_blk]
-            v_j = v[col_blk]
-            if mixed_precision:
-                scores = fp16_matmul(q_i, k_j.T) * np.float32(scale)
-            else:
-                scores = (q_i @ k_j.T).astype(np.float32) * np.float32(scale)
-            state.update(scores, v_j)
+            scores = fp16_matmul(q_i, k[col_blk].T) * np.float32(scale)
+            state.update(scores, v[col_blk])
         out[row_blk] = state.finalize()
     return out

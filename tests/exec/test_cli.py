@@ -719,6 +719,18 @@ class TestStoreCli:
         assert captured.out == ""
         assert "argument --limit: -1 is negative" in captured.err
 
+    @pytest.mark.parametrize("extra", [["--limit", "1"], ["--jsonl"]], ids=["limit", "jsonl"])
+    def test_query_count_takes_no_limit_or_jsonl(self, sweep_file, tmp_path, capsys, extra):
+        results = tmp_path / "out"
+        main(["run", str(sweep_file), "--results", str(results)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["query", str(results), "--count", *extra])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--count takes neither --limit nor --jsonl" in captured.err
+
     def test_query_jsonl_output_is_canonical(self, sweep_file, tmp_path, capsys):
         import json as json_module
 

@@ -112,6 +112,21 @@ class TestReplayGuards:
         with pytest.raises(ValueError, match="holds 4 trials"):
             ExperimentRunner(spec)
 
+    def test_engine_checks_faultload_against_adaptive_cap(self, faultload_path, tmp_path):
+        # An adaptive run tops up past n_trials to its max_trials, so the
+        # artifact must hold every index up to that cap before a trial runs.
+        spec = ExperimentSpec(
+            campaign="transformer_inference",
+            n_trials=N_TRIALS,
+            params=dict(TRANSFORMER_PARAMS),
+            faultload=str(faultload_path),
+            adaptive={"target_ci": 0.01, "batch": N_TRIALS, "max_trials": 2 * N_TRIALS},
+        )
+        out = tmp_path / "adaptive.jsonl"
+        with pytest.raises(ValueError, match="holds 4 trials but the experiment can run 8"):
+            ExperimentRunner(spec, results_path=out)
+        assert not out.exists()
+
     def test_engine_rejects_missing_faultload(self, tmp_path):
         spec = ExperimentSpec(
             campaign="transformer_inference",

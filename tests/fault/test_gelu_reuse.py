@@ -218,9 +218,9 @@ class TestGoldenTrace:
             rngs = [np.random.default_rng(i) for i in range(3)]
             assert len(_transformer_inference_batch(rngs, dict(params))) == 3
             fixture = _transformer_fixture(params)
-            trace = fixture.gelu_traces[True]
+            trace = fixture.gelu_trace
             # Only the trace of this fixture's own model was reused.
-            assert [model for model, t in recorded if t is trace] == [fixture.model]
+            assert [model for model, t in recorded if t[0] is trace[0]] == [fixture.model]
             assert [id(g) for g in used] == [id(golden_in) for golden_in, _ in trace]
             return fixture
 
@@ -229,14 +229,30 @@ class TestGoldenTrace:
         first = run(a)
         assert run(a) is first and len(recorded) == 1  # one pass per fixture
         ffn_dim = first.model.blocks[0].ffn.fc_in.out_dim
-        assert first.gelu_traces[True][0][0].shape == (1, 8, ffn_dim)  # a trial axis of one
+        assert first.gelu_trace[0][0].shape == (1, 8, ffn_dim)  # a trial axis of one
         other = run(b)  # evicts a
         rebuilt = run(a)  # rebuilds a, and with it the trace
         assert rebuilt is not first and rebuilt.model is not first.model
         assert [model for model, _ in recorded] == [first.model, other.model, rebuilt.model]
 
+    def test_one_golden_pass_serves_linear_and_attention_sites(self, monkeypatch):
+        # Scheme "none" runs one forward at every site, so chunks at the
+        # linear site and at an attention site share the fixture's trace.
+        passes = []
+
+        def golden_trace(model, *args, _real=batched._golden_trace):
+            passes.append(model)
+            return _real(model, *args)
+
+        monkeypatch.setattr(batched, "_golden_trace", golden_trace)
+        params = {"scheme": "none", "hidden_dim": 16, "num_layers": 2, "seq_len": 8}
+        for site in ("linear", "gemm_qk"):
+            rngs = [np.random.default_rng(i) for i in range(3)]
+            assert len(_transformer_inference_batch(rngs, {**params, "site": site})) == 3
+        assert passes == [_transformer_fixture(params).model]
+
     def test_relu_models_record_no_trace(self, monkeypatch):
         params = {"model": "T5-Small", "scheme": "none", "hidden_dim": 16, "seq_len": 8}
         rngs = [np.random.default_rng(i) for i in range(2)]
         assert len(_transformer_inference_batch(rngs, params)) == 2
-        assert _transformer_fixture(params).gelu_traces == {}
+        assert _transformer_fixture(params).gelu_trace == []

@@ -3,10 +3,10 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.attention.flash import flash_attention
 from repro.attention.standard import standard_attention
 from repro.core.config import AttentionConfig
 from repro.core.efta_optimized import EFTAttentionOptimized
+from repro.core.schemes import build_scheme
 from repro.fault.injector import FaultInjector
 from repro.fault.models import FaultSite
 
@@ -29,14 +29,16 @@ class TestAttentionEquivalence:
         block_size=st.sampled_from([8, 16, 32]),
     )
     @settings(**SETTINGS)
-    def test_flash_equals_standard(self, seed, seq_len, head_dim, block_size):
+    def test_unprotected_equals_standard(self, seed, seq_len, head_dim, block_size):
+        # Scheme "none" rounds only the score GEMM to FP16, the
+        # mixed-precision standard attention both GEMMs.
         q, k, v = random_qkv(seed, seq_len, head_dim)
+        cfg = AttentionConfig(seq_len=seq_len, head_dim=head_dim, block_size=block_size)
+        out, report = build_scheme("none", cfg)(q, k, v)
         np.testing.assert_allclose(
-            flash_attention(q, k, v, block_size=block_size),
-            standard_attention(q, k, v),
-            rtol=1e-3,
-            atol=1e-3,
+            out, standard_attention(q, k, v, mixed_precision=True), rtol=5e-3, atol=5e-3
         )
+        assert report.clean
 
     @given(
         seed=st.integers(0, 10_000),
